@@ -10,6 +10,8 @@
 //     bench_rounds_vs_n configuration (n = 256 sparse): the end-to-end
 //     wall-clock the ISSUE's ≥3x acceptance criterion is stated over, where
 //     active-set scheduling additionally skips quiescent nodes.
+//   * GrantedKnowledge — ComputeParameters, the exact n, D, s, WD every
+//     cold dist-* run pays for before its first simulated round.
 //
 // Pre-refactor reference numbers (same machine, RelWithDebInfo — the
 // default build type — the seed simulator at commit 89e4cf6) are recorded
@@ -24,6 +26,7 @@
 #include "congest/network.hpp"
 #include "dist/det_moat.hpp"
 #include "dist/randomized.hpp"
+#include "workload/generators.hpp"
 
 namespace dsf {
 namespace {
@@ -212,6 +215,40 @@ BENCHMARK(BM_RandLargestN)
     ->Arg(1)
     ->Arg(2)
     ->Unit(benchmark::kMillisecond);
+
+// Granted static knowledge (footnote 2) on a fresh graph: ComputeParameters
+// itself, which CachedParameters runs once per graph. Rows 0-3 are the
+// perfbench cold-dist families at n = 240, row 4 the 64x64 grid of the
+// cold dist-det target.
+void BM_GrantedKnowledge(benchmark::State& state) {
+  struct Family {
+    const char* label;
+    const char* name;
+    bench::ParamList params;
+  };
+  static const Family kFamilies[] = {
+      {"grid 15x16", "grid", {{"rows", "15"}, {"cols", "16"}}},
+      {"er n=240", "er", {{"n", "240"}, {"p", "0.02"}}},
+      {"power-law n=240", "power-law", {{"n", "240"}, {"m", "2"}}},
+      {"expander-far-pairs n=240",
+       "expander-far-pairs",
+       {{"pairs", "4"}, {"tail", "8"}, {"core", "176"}}},
+      {"grid 64x64", "grid", {{"rows", "64"}, {"cols", "64"}}},
+  };
+  const Family& f = kFamilies[state.range(0)];
+  const Graph g = BuildGenerator(f.name, f.params, /*seed=*/1);
+  GraphParameters p;
+  for (auto _ : state) {
+    p = ComputeParameters(g);
+    benchmark::DoNotOptimize(p);
+  }
+  state.SetLabel(f.label);
+  state.counters["n"] = g.NumNodes();
+  state.counters["m"] = g.NumEdges();
+  state.counters["D"] = p.unweighted_diameter;
+  state.counters["s"] = p.shortest_path_diameter;
+}
+BENCHMARK(BM_GrantedKnowledge)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace dsf

@@ -1,23 +1,76 @@
 #include "graph/properties.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <mutex>
+#include <vector>
 
 #include "graph/shortest_paths.hpp"
 
 namespace dsf {
 
+namespace {
+
+// D by bit-parallel BFS over batches of 64 sources, source base + i owning
+// bit i: seen[v] holds the batch sources that have reached v, frontier[v]
+// those that reached it exactly at the current level. A level pushes only
+// from nodes with a non-zero frontier word, and a node is in the frontier
+// once per distinct distance it has to the batch, so a batch costs at most
+// 64 BFS traversals and usually far fewer.
+int HopDiameter(const Graph& g) {
+  const auto n = static_cast<std::size_t>(g.NumNodes());
+  std::vector<std::uint64_t> seen(n);
+  std::vector<std::uint64_t> frontier(n);
+  std::vector<std::uint64_t> next(n);
+  std::vector<NodeId> active;
+  std::vector<NodeId> touched;
+  int diameter = 0;
+  for (NodeId base = 0; base < g.NumNodes(); base += 64) {
+    std::fill(seen.begin(), seen.end(), 0);
+    active.clear();
+    for (NodeId s = base; s < std::min(g.NumNodes(), base + 64); ++s) {
+      const auto si = static_cast<std::size_t>(s);
+      seen[si] = frontier[si] = std::uint64_t{1} << (s - base);
+      active.push_back(s);
+    }
+    for (int level = 1;; ++level) {
+      touched.clear();
+      for (const NodeId u : active) {
+        const std::uint64_t f = frontier[static_cast<std::size_t>(u)];
+        frontier[static_cast<std::size_t>(u)] = 0;
+        for (const auto& inc : g.Neighbors(u)) {
+          auto& word = next[static_cast<std::size_t>(inc.neighbor)];
+          if (word == 0) touched.push_back(inc.neighbor);
+          word |= f;
+        }
+      }
+      active.clear();
+      for (const NodeId v : touched) {
+        const auto vi = static_cast<std::size_t>(v);
+        const std::uint64_t fresh = next[vi] & ~seen[vi];
+        next[vi] = 0;
+        if (fresh == 0) continue;
+        seen[vi] |= fresh;
+        frontier[vi] = fresh;
+        active.push_back(v);
+      }
+      if (active.empty()) break;
+      diameter = std::max(diameter, level);
+    }
+  }
+  return diameter;
+}
+
+}  // namespace
+
 GraphParameters ComputeParameters(const Graph& g) {
   GraphParameters p;
   p.connected = IsConnected(g);
+  p.unweighted_diameter = HopDiameter(g);
   for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    const auto bfs = Bfs(g, v);
     const auto sp = Dijkstra(g, v);
     for (NodeId u = 0; u < g.NumNodes(); ++u) {
       const auto ui = static_cast<std::size_t>(u);
-      if (bfs.depth[ui] >= 0) {
-        p.unweighted_diameter = std::max(p.unweighted_diameter, bfs.depth[ui]);
-      }
       if (sp.Reachable(u)) {
         p.weighted_diameter = std::max(p.weighted_diameter, sp.dist[ui]);
         p.shortest_path_diameter =
@@ -46,41 +99,6 @@ const GraphParameters& CachedParameters(const Graph& g) {
   const std::lock_guard<std::mutex> lock(mu);
   if (g.params_cache_ == nullptr) g.params_cache_ = std::move(computed);
   return *g.params_cache_;
-}
-
-int UnweightedDiameter(const Graph& g) {
-  int d = 0;
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    const auto bfs = Bfs(g, v);
-    for (const int depth : bfs.depth) d = std::max(d, depth);
-  }
-  return d;
-}
-
-int ShortestPathDiameter(const Graph& g) {
-  int s = 0;
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    const auto sp = Dijkstra(g, v);
-    for (NodeId u = 0; u < g.NumNodes(); ++u) {
-      if (sp.Reachable(u)) {
-        s = std::max(s, sp.hops[static_cast<std::size_t>(u)]);
-      }
-    }
-  }
-  return s;
-}
-
-Weight WeightedDiameter(const Graph& g) {
-  Weight wd = 0;
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    const auto sp = Dijkstra(g, v);
-    for (NodeId u = 0; u < g.NumNodes(); ++u) {
-      if (sp.Reachable(u)) {
-        wd = std::max(wd, sp.dist[static_cast<std::size_t>(u)]);
-      }
-    }
-  }
-  return wd;
 }
 
 bool IsConnected(const Graph& g) {

@@ -16,24 +16,20 @@ struct GraphParameters {
   bool connected = true;
 };
 
-// Exact computation by n BFS + n lexicographic Dijkstras. Intended for the
-// instance sizes of tests/benches (n up to a few thousand).
+// Exact computation: s and WD from one Dijkstra per source (radix queue,
+// graph/shortest_paths.hpp), D from a bit-parallel BFS that carries 64
+// sources per pass in one machine word per node. Costs n Dijkstras plus at
+// most the work of n BFS traversals, with O(n) extra memory; meant for the
+// instance sizes of tests, benches and served requests (n up to a few
+// thousand).
 GraphParameters ComputeParameters(const Graph& g);
 
 // Memoized ComputeParameters for a finalized graph: computed on first call,
 // then shared by every subsequent run on the same (immutable) topology —
-// repeated protocol runs stop paying the all-pairs recomputation. Not
-// thread-safe on the first call; protocol setup is single-threaded.
+// repeated protocol runs stop paying the all-pairs recomputation. Safe to
+// call concurrently: a mutex serializes the install, so every caller gets
+// the same object (a cold race may compute it more than once).
 const GraphParameters& CachedParameters(const Graph& g);
-
-// D only (n BFS traversals).
-int UnweightedDiameter(const Graph& g);
-
-// s only (n Dijkstras with (dist, hops) keys).
-int ShortestPathDiameter(const Graph& g);
-
-// WD only.
-Weight WeightedDiameter(const Graph& g);
 
 // True if g is connected.
 bool IsConnected(const Graph& g);

@@ -1,8 +1,10 @@
 #include "graph/shortest_paths.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
+#include <cstdint>
 #include <queue>
-#include <tuple>
 
 #include "graph/union_find.hpp"
 
@@ -10,16 +12,68 @@ namespace dsf {
 
 namespace {
 
-// Priority-queue entry: (dist, hops, node). Smaller dist first, then fewer
-// hops, then smaller node id — deterministic tie-breaking matters because the
-// centralized moat algorithm's output is compared against the distributed one.
-struct QueueEntry {
-  Weight dist;
-  int hops;
-  NodeId node;
-  friend bool operator>(const QueueEntry& a, const QueueEntry& b) {
-    return std::tie(a.dist, a.hops, a.node) > std::tie(b.dist, b.hops, b.node);
+// Monotone radix queue over distances: an entry sits in the bucket named by
+// the highest bit where its key differs from the last popped key (bucket 0:
+// equal to it). Keys pushed are never below the last pop, which Dijkstra
+// guarantees, so an emptied bucket 0 refills from the lowest non-empty
+// bucket, whose minimum becomes the new last key and whose entries all move
+// to strictly lower buckets, so each entry moves at most 64 times.
+class RadixQueue {
+ public:
+  struct Entry {
+    Weight key;
+    NodeId node;
+  };
+
+  // Empties the queue for a run that pushes at most `max_entries` entries.
+  // A bucket keeps its capacity for the next run unless an earlier, larger
+  // run grew it past twice that; such a bucket is released, so a long-lived
+  // thread does not hold one big graph's memory after it.
+  void Reset(std::size_t max_entries) {
+    for (auto& bucket : buckets_) {
+      if (bucket.capacity() > 2 * max_entries) {
+        std::vector<Entry>().swap(bucket);
+      } else {
+        bucket.clear();
+      }
+    }
+    last_ = 0;
+    size_ = 0;
   }
+  [[nodiscard]] bool Empty() const noexcept { return size_ == 0; }
+
+  void Push(Weight key, NodeId node) {
+    buckets_[BucketOf(key)].push_back({key, node});
+    ++size_;
+  }
+
+  Entry Pop() {
+    if (buckets_[0].empty()) {
+      std::size_t i = 1;
+      while (buckets_[i].empty()) ++i;
+      auto& from = buckets_[i];
+      last_ = std::min_element(from.begin(), from.end(),
+                               [](const Entry& a, const Entry& b) {
+                                 return a.key < b.key;
+                               })->key;
+      for (const Entry& e : from) buckets_[BucketOf(e.key)].push_back(e);
+      from.clear();
+    }
+    const Entry e = buckets_[0].back();
+    buckets_[0].pop_back();
+    --size_;
+    return e;
+  }
+
+ private:
+  [[nodiscard]] std::size_t BucketOf(Weight key) const noexcept {
+    return static_cast<std::size_t>(
+        std::bit_width(static_cast<std::uint64_t>(key ^ last_)));
+  }
+
+  std::array<std::vector<Entry>, 65> buckets_;
+  Weight last_ = 0;
+  std::size_t size_ = 0;
 };
 
 }  // namespace
@@ -47,96 +101,47 @@ ShortestPathTree Dijkstra(const Graph& g, NodeId source,
   t.parent_edge.assign(n, kNoEdge);
   t.hops.assign(n, -1);
 
-  std::priority_queue<QueueEntry, std::vector<QueueEntry>, std::greater<>> pq;
+  // Per-thread bucket storage, reused across calls; a cancelled run may
+  // leave entries behind, hence the reset on entry. Every push is the
+  // source's or follows a strict improvement along one arc, so a run pushes
+  // at most 2m + 1 entries.
+  thread_local RadixQueue queue;
+  queue.Reset(2 * static_cast<std::size_t>(g.NumEdges()) + 1);
   t.dist[static_cast<std::size_t>(source)] = 0;
   t.hops[static_cast<std::size_t>(source)] = 0;
-  pq.push({0, 0, source});
+  queue.Push(0, source);
   std::size_t pops = 0;
-  while (!pq.empty()) {
+  while (!queue.Empty()) {
     // Cancellation checkpoint every 4096 pops (same cadence as KruskalMst):
     // the tree stays internally consistent, just incomplete.
     if (cancel != nullptr && (++pops & 0xFFFu) == 0 && cancel->Expired()) {
       break;
     }
-    const auto [d, h, u] = pq.top();
-    pq.pop();
-    if (d != t.dist[static_cast<std::size_t>(u)] ||
-        h != t.hops[static_cast<std::size_t>(u)]) {
-      continue;
-    }
+    const auto [d, u] = queue.Pop();
+    if (d != t.dist[static_cast<std::size_t>(u)]) continue;  // superseded
+    // Weights are >= 1, so every predecessor of u on a least-weight path
+    // popped strictly earlier and u's labels are final here: the canonical
+    // (dist, hops, predecessor id) minimum that dist/det_moat.cpp replays.
+    const int nh = t.hops[static_cast<std::size_t>(u)] + 1;
     for (const auto& inc : g.Neighbors(u)) {
       const Weight nd = d + g.GetEdge(inc.edge).w;
-      const int nh = h + 1;
-      auto& dv = t.dist[static_cast<std::size_t>(inc.neighbor)];
-      auto& hv = t.hops[static_cast<std::size_t>(inc.neighbor)];
-      const bool better =
-          nd < dv || (nd == dv && nh < hv) ||
-          (nd == dv && nh == hv &&
-           u < t.parent[static_cast<std::size_t>(inc.neighbor)]);
-      if (better) {
-        dv = nd;
-        hv = nh;
-        t.parent[static_cast<std::size_t>(inc.neighbor)] = u;
-        t.parent_edge[static_cast<std::size_t>(inc.neighbor)] = inc.edge;
-        pq.push({nd, nh, inc.neighbor});
+      const auto vi = static_cast<std::size_t>(inc.neighbor);
+      if (nd < t.dist[vi]) {
+        t.dist[vi] = nd;
+        t.hops[vi] = nh;
+        t.parent[vi] = u;
+        t.parent_edge[vi] = inc.edge;
+        queue.Push(nd, inc.neighbor);
+      } else if (nd == t.dist[vi] &&
+                 (nh < t.hops[vi] || (nh == t.hops[vi] && u < t.parent[vi]))) {
+        // Same distance: v is already queued under it; only relabel.
+        t.hops[vi] = nh;
+        t.parent[vi] = u;
+        t.parent_edge[vi] = inc.edge;
       }
     }
   }
   return t;
-}
-
-VoronoiDecomposition MultiSourceDijkstra(const Graph& g,
-                                         std::span<const NodeId> sources) {
-  const auto n = static_cast<std::size_t>(g.NumNodes());
-  VoronoiDecomposition v;
-  v.dist.assign(n, kInfWeight);
-  v.owner.assign(n, kNoNode);
-  v.parent.assign(n, kNoNode);
-  v.parent_edge.assign(n, kNoEdge);
-
-  // Entry: (dist, owner, node) — owner in the key implements the paper's
-  // lexicographic tie-breaking between centers (Definition 4.6).
-  using Entry = std::tuple<Weight, NodeId, NodeId>;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> pq;
-  for (const NodeId s : sources) {
-    if (v.dist[static_cast<std::size_t>(s)] == 0 &&
-        v.owner[static_cast<std::size_t>(s)] != kNoNode) {
-      continue;  // duplicate source
-    }
-    v.dist[static_cast<std::size_t>(s)] = 0;
-    v.owner[static_cast<std::size_t>(s)] = s;
-    pq.push({0, s, s});
-  }
-  while (!pq.empty()) {
-    const auto [d, own, u] = pq.top();
-    pq.pop();
-    if (d != v.dist[static_cast<std::size_t>(u)] ||
-        own != v.owner[static_cast<std::size_t>(u)]) {
-      continue;
-    }
-    for (const auto& inc : g.Neighbors(u)) {
-      const Weight nd = d + g.GetEdge(inc.edge).w;
-      const auto ni = static_cast<std::size_t>(inc.neighbor);
-      if (nd < v.dist[ni] || (nd == v.dist[ni] && own < v.owner[ni])) {
-        v.dist[ni] = nd;
-        v.owner[ni] = own;
-        v.parent[ni] = u;
-        v.parent_edge[ni] = inc.edge;
-        pq.push({nd, own, inc.neighbor});
-      }
-    }
-  }
-  return v;
-}
-
-std::vector<std::vector<Weight>> DistancesFrom(const Graph& g,
-                                               std::span<const NodeId> sources) {
-  std::vector<std::vector<Weight>> result;
-  result.reserve(sources.size());
-  for (const NodeId s : sources) {
-    result.push_back(Dijkstra(g, s).dist);
-  }
-  return result;
 }
 
 BfsTreeResult Bfs(const Graph& g, NodeId source) {

@@ -34,31 +34,14 @@ struct ShortestPathTree {
   [[nodiscard]] std::vector<EdgeId> PathTo(NodeId v) const;
 };
 
-// Dijkstra from a single source. Ties between equal-weight paths are broken
-// toward fewer hops, then smaller predecessor id (deterministic). `cancel`
-// is a cooperative checkpoint polled every few thousand pops (a portfolio
-// loser must stop inside a whole-graph scan, not after it); an expired
-// token yields a PARTIAL tree — unsettled nodes keep kInfWeight — which the
-// caller must discard or report as cancelled.
+// Dijkstra from a single source over a monotone radix queue. Ties between
+// equal-weight paths are broken toward fewer hops, then smaller predecessor
+// id (deterministic). `cancel` is a cooperative checkpoint polled every few
+// thousand pops (a portfolio loser must stop inside a whole-graph scan, not
+// after it); an expired token yields a PARTIAL tree — unsettled nodes keep
+// kInfWeight — which the caller must discard or report as cancelled.
 ShortestPathTree Dijkstra(const Graph& g, NodeId source,
                           const CancelToken* cancel = nullptr);
-
-// Multi-source Dijkstra: dist = distance to the nearest source; `owner[v]`
-// identifies which source claimed v (ties broken by smaller source id). This
-// is the centralized reference for Voronoi decompositions (Definition 4.6).
-struct VoronoiDecomposition {
-  std::vector<Weight> dist;
-  std::vector<NodeId> owner;        // claiming center, kNoNode if unreachable
-  std::vector<NodeId> parent;
-  std::vector<EdgeId> parent_edge;
-};
-VoronoiDecomposition MultiSourceDijkstra(const Graph& g,
-                                         std::span<const NodeId> sources);
-
-// All-pairs distances restricted to `targets` as sources (runs |targets|
-// Dijkstras). Result[i][v] = wd(targets[i], v).
-std::vector<std::vector<Weight>> DistancesFrom(const Graph& g,
-                                               std::span<const NodeId> sources);
 
 // Unweighted BFS from `source`: hop distances and parents.
 struct BfsTreeResult {

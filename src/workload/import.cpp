@@ -63,6 +63,13 @@ class EdgeAccumulator {
 
 }  // namespace
 
+void CheckEdgeWeight(long long w, const std::string& origin, int line) {
+  if (w < 1 || w > kMaxEdgeWeight) {
+    Fail(origin, line,
+         "edge weight must be in [1, " + std::to_string(kMaxEdgeWeight) + "]");
+  }
+}
+
 ImportedWorkload ParseSteinLib(std::istream& in, const std::string& origin) {
   std::string raw;
   int line = 0;
@@ -156,7 +163,7 @@ ImportedWorkload ParseSteinLib(std::istream& in, const std::string& origin) {
         const NodeId v = node_in_range(want("endpoint"), line);
         const long long w = want("weight");
         no_trailing(head);
-        if (w < 1) Fail(origin, line, "edge weight must be >= 1");
+        CheckEdgeWeight(w, origin, line);
         edges.Add(u, v, static_cast<Weight>(w));
         edges.CountRaw();
       } else {
@@ -287,7 +294,7 @@ ImportedWorkload ParseDimacs(std::istream& in, const std::string& origin) {
         Fail(origin, line, "endpoint out of range [1, " + std::to_string(n) +
                                "]");
       }
-      if (w < 1) Fail(origin, line, "edge weight must be >= 1");
+      CheckEdgeWeight(w, origin, line);
       edges.Add(static_cast<NodeId>(u - 1), static_cast<NodeId>(v - 1),
                 static_cast<Weight>(w));
       edges.CountRaw();

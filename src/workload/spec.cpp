@@ -13,6 +13,7 @@
 #include "common/random.hpp"
 #include "common/text.hpp"
 #include "solve/solver_spec.hpp"
+#include "steiner/moat.hpp"
 #include "workload/churn.hpp"
 #include "workload/generators.hpp"
 #include "workload/import.hpp"
@@ -24,6 +25,11 @@ namespace {
 // Hand-written `graph` blocks are serving inputs, not a bulk format; the cap
 // exists so out-of-range node counts fail instead of truncating.
 constexpr long long kMaxExplicitNodes = 10'000'000;
+// On the largest accepted graph every path sum stays below kInfWeight, and
+// its fixed-point image (ToFixed, the moat engine's radii) fits in Fixed.
+static_assert(kMaxExplicitNodes * kMaxEdgeWeight < kInfWeight);
+static_assert(kMaxExplicitNodes * kMaxEdgeWeight <=
+              (std::numeric_limits<Fixed>::max() >> kFixedShift));
 // Expansion guard rails: a mistyped sweep should fail loudly, not allocate
 // the machine.
 constexpr std::size_t kMaxSweepValues = 64;
@@ -308,7 +314,7 @@ WorkloadSpec ParseWorkloadSpec(std::istream& in, const std::string& origin) {
       const long long w = want_long("weight");
       no_trailing();
       if (u == v) Fail(origin, line, "self-loop");
-      if (w < 1) Fail(origin, line, "edge weight must be >= 1");
+      CheckEdgeWeight(w, origin, line);
       // Parallel edges would silently shadow each other in every solver
       // (only the lighter one can matter); reject both exact duplicates and
       // reversed restatements.

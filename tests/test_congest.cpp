@@ -15,10 +15,11 @@ namespace dsf {
 namespace {
 
 StaticKnowledge KnownFor(const Graph& g) {
+  const auto p = ComputeParameters(g);
   StaticKnowledge k;
   k.n = g.NumNodes();
-  k.diameter_bound = UnweightedDiameter(g);
-  k.spd_bound = ShortestPathDiameter(g);
+  k.diameter_bound = p.unweighted_diameter;
+  k.spd_bound = p.shortest_path_diameter;
   return k;
 }
 

@@ -15,14 +15,14 @@ TEST(GeneratorsTest, PathShape) {
   EXPECT_EQ(g.NumNodes(), 5);
   EXPECT_EQ(g.NumEdges(), 4);
   EXPECT_TRUE(IsConnected(g));
-  EXPECT_EQ(UnweightedDiameter(g), 4);
+  EXPECT_EQ(ComputeParameters(g).unweighted_diameter, 4);
   EXPECT_EQ(g.TotalWeight(), 12);
 }
 
 TEST(GeneratorsTest, CycleShape) {
   const Graph g = MakeCycle(6);
   EXPECT_EQ(g.NumEdges(), 6);
-  EXPECT_EQ(UnweightedDiameter(g), 3);
+  EXPECT_EQ(ComputeParameters(g).unweighted_diameter, 3);
   for (NodeId v = 0; v < 6; ++v) EXPECT_EQ(g.Degree(v), 2);
 }
 
@@ -30,7 +30,7 @@ TEST(GeneratorsTest, StarShape) {
   const Graph g = MakeStar(7);
   EXPECT_EQ(g.NumEdges(), 6);
   EXPECT_EQ(g.Degree(0), 6);
-  EXPECT_EQ(UnweightedDiameter(g), 2);
+  EXPECT_EQ(ComputeParameters(g).unweighted_diameter, 2);
 }
 
 TEST(GeneratorsTest, GridShape) {
@@ -39,14 +39,14 @@ TEST(GeneratorsTest, GridShape) {
   EXPECT_EQ(g.NumNodes(), 12);
   EXPECT_EQ(g.NumEdges(), 3 * 3 + 2 * 4);  // horizontal + vertical
   EXPECT_TRUE(IsConnected(g));
-  EXPECT_EQ(UnweightedDiameter(g), 2 + 3);
+  EXPECT_EQ(ComputeParameters(g).unweighted_diameter, 2 + 3);
 }
 
 TEST(GeneratorsTest, CompleteGraph) {
   SplitMix64 rng(2);
   const Graph g = MakeComplete(6, 1, 10, rng);
   EXPECT_EQ(g.NumEdges(), 15);
-  EXPECT_EQ(UnweightedDiameter(g), 1);
+  EXPECT_EQ(ComputeParameters(g).unweighted_diameter, 1);
   for (const auto& e : g.Edges()) {
     EXPECT_GE(e.w, 1);
     EXPECT_LE(e.w, 10);
@@ -109,8 +109,9 @@ TEST(GeneratorsTest, SubdivisionScalesDistancesUniformly) {
 TEST(GeneratorsTest, SubdivisionIncreasesShortestPathDiameter) {
   SplitMix64 rng(4);
   const Graph g = MakeConnectedRandom(10, 0.4, 1, 5, rng);
-  const int s1 = ShortestPathDiameter(g);
-  const int s4 = ShortestPathDiameter(SubdivideEdges(g, 4));
+  const int s1 = ComputeParameters(g).shortest_path_diameter;
+  const int s4 =
+      ComputeParameters(SubdivideEdges(g, 4)).shortest_path_diameter;
   EXPECT_GE(s4, 2 * s1);
 }
 

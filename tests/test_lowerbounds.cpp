@@ -37,7 +37,7 @@ TEST(CrGadgetTest, StructureMatchesLemma31) {
   EXPECT_EQ(gadget.graph.NumNodes(), 2 * 8 + 4);
   EXPECT_TRUE(IsConnected(gadget.graph));
   // Lemma 3.1: diameter at most 4, at most two input components.
-  EXPECT_LE(UnweightedDiameter(gadget.graph), 4);
+  EXPECT_LE(ComputeParameters(gadget.graph).unweighted_diameter, 4);
   const IcInstance ic = CrToIc(gadget.cr);
   EXPECT_LE(ic.NumComponents(), 2);
   EXPECT_EQ(gadget.cut.size(), 4u);
@@ -72,7 +72,7 @@ TEST(IcGadgetTest, StructureMatchesLemma33) {
   const auto gadget = BuildIcGadget(sd.a, sd.b, 10);
   EXPECT_EQ(gadget.graph.NumNodes(), 2 * 10 + 2);
   // Lemma 3.3: unweighted (all unit), diameter 3.
-  EXPECT_EQ(UnweightedDiameter(gadget.graph), 3);
+  EXPECT_EQ(ComputeParameters(gadget.graph).unweighted_diameter, 3);
   for (const auto& e : gadget.graph.Edges()) EXPECT_EQ(e.w, 1);
 }
 

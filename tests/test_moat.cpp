@@ -215,6 +215,29 @@ TEST(MoatGrowingTest, InfeasibleInstanceThrows) {
   EXPECT_THROW(CentralizedMoatGrowing(g, ic), std::logic_error);
 }
 
+TEST(MoatGrowingTest, ExactAtTheEdgeWeightCap) {
+  // Every edge at the text formats' cap: radii and slacks reach ToFixed of
+  // multi-edge path weights, and both algorithms must still return the
+  // optimal path forest with a dual that lower-bounds it (up to Algorithm
+  // 2's factor 1 + ε/2).
+  const int n = 200;
+  const Graph g = MakePath(n, kMaxEdgeWeight);
+  const IcInstance ic =
+      MakeIcInstance(n, {{0, 1}, {n - 1, 1}, {60, 2}, {140, 2}});
+  const Weight opt = (n - 1) * kMaxEdgeWeight;
+  for (const Real eps : {0.0L, 0.5L}) {
+    MoatOptions options;
+    options.epsilon = eps;
+    const auto res = CentralizedMoatGrowing(g, ic, options);
+    EXPECT_TRUE(IsFeasible(g, ic, res.forest)) << eps;
+    EXPECT_EQ(g.WeightOf(res.forest), opt) << eps;
+    EXPECT_GT(res.dual_sum, 0) << eps;
+    EXPECT_LE(FixedToReal(res.dual_sum),
+              (1.0L + eps / 2.0L) * static_cast<Real>(opt))
+        << eps;
+  }
+}
+
 // Lemma 4.4: the number of merge phases is at most 2k.
 TEST(MoatGrowingTest, MergePhasesBoundedByTwoK) {
   for (std::uint64_t seed = 0; seed < 10; ++seed) {

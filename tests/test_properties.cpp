@@ -2,10 +2,50 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <string>
+#include <thread>
+#include <vector>
+
 #include "graph/generators.hpp"
+#include "shortest_path_reference.hpp"
 
 namespace dsf {
 namespace {
+
+// The definition, pair by pair: a BFS and a reference Dijkstra per source.
+GraphParameters BruteForceParameters(const Graph& g) {
+  GraphParameters p;
+  p.connected = IsConnected(g);
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    const auto bfs = Bfs(g, v);
+    const auto sp = ReferenceDijkstra(g, v);
+    for (std::size_t u = 0; u < bfs.depth.size(); ++u) {
+      p.unweighted_diameter = std::max(p.unweighted_diameter, bfs.depth[u]);
+      if (sp.Reachable(static_cast<NodeId>(u))) {
+        p.weighted_diameter = std::max(p.weighted_diameter, sp.dist[u]);
+        p.shortest_path_diameter =
+            std::max(p.shortest_path_diameter, sp.hops[u]);
+      }
+    }
+  }
+  return p;
+}
+
+bool SameLabels(const ShortestPathTree& a, const ShortestPathTree& b) {
+  return a.source == b.source && a.dist == b.dist && a.hops == b.hops &&
+         a.parent == b.parent && a.parent_edge == b.parent_edge;
+}
+
+void ExpectSameParameters(const GraphParameters& got,
+                          const GraphParameters& want,
+                          const std::string& label) {
+  EXPECT_EQ(got.unweighted_diameter, want.unweighted_diameter) << label;
+  EXPECT_EQ(got.weighted_diameter, want.weighted_diameter) << label;
+  EXPECT_EQ(got.shortest_path_diameter, want.shortest_path_diameter) << label;
+  EXPECT_EQ(got.connected, want.connected) << label;
+}
 
 TEST(PropertiesTest, PathParameters) {
   const Graph g = MakePath(6, 2);
@@ -53,7 +93,8 @@ TEST(PropertiesTest, UnitWeightsMakeSEqualD) {
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     SplitMix64 rng(seed);
     const Graph g = MakeConnectedRandom(25, 0.15, 1, 1, rng);
-    EXPECT_EQ(ShortestPathDiameter(g), UnweightedDiameter(g)) << seed;
+    const auto p = ComputeParameters(g);
+    EXPECT_EQ(p.shortest_path_diameter, p.unweighted_diameter) << seed;
   }
 }
 
@@ -68,8 +109,9 @@ TEST(PropertiesTest, DisconnectedDetected) {
 TEST(PropertiesTest, CompleteGraphDiameterOne) {
   SplitMix64 rng(5);
   const Graph g = MakeComplete(8, 1, 1, rng);
-  EXPECT_EQ(UnweightedDiameter(g), 1);
-  EXPECT_EQ(WeightedDiameter(g), 1);
+  const auto p = ComputeParameters(g);
+  EXPECT_EQ(p.unweighted_diameter, 1);
+  EXPECT_EQ(p.weighted_diameter, 1);
 }
 
 TEST(PropertiesTest, SingleNode) {
@@ -79,6 +121,98 @@ TEST(PropertiesTest, SingleNode) {
   EXPECT_TRUE(p.connected);
   EXPECT_EQ(p.unweighted_diameter, 0);
   EXPECT_EQ(p.shortest_path_diameter, 0);
+}
+
+TEST(PropertiesTest, MatchesBruteForceOnEveryGeneratorFamily) {
+  for (const auto& [label, g] : RegistryGraphs()) {
+    ExpectSameParameters(ComputeParameters(g), BruteForceParameters(g), label);
+  }
+}
+
+TEST(PropertiesTest, MatchesBruteForceAtBatchEdges) {
+  // The hop-diameter BFS carries 64 sources per pass: sizes just below, at
+  // and past one and two batches, on a path (D = n - 1 spans batches) and
+  // on a random graph.
+  for (const int n : {0, 1, 63, 64, 65, 129}) {
+    std::vector<Graph> graphs;
+    if (n < 2) {
+      graphs.push_back(MakeGraph(n, {}));
+    } else {
+      SplitMix64 rng(static_cast<std::uint64_t>(n));
+      graphs.push_back(MakePath(n, 3));
+      graphs.push_back(MakeConnectedRandom(n, 0.04, 1, 9, rng));
+    }
+    for (const Graph& g : graphs) {
+      ExpectSameParameters(ComputeParameters(g), BruteForceParameters(g),
+                           "n=" + std::to_string(n));
+    }
+  }
+}
+
+TEST(PropertiesTest, MatchesBruteForceOnDisconnectedGraph) {
+  // A 70-node path (across the first batch edge), a random component and
+  // an isolated node: every field is a max over reachable pairs only.
+  SplitMix64 rng(21);
+  const Graph random = MakeConnectedRandom(30, 0.1, 1, 50, rng);
+  std::vector<Edge> edges;
+  for (NodeId v = 0; v + 1 < 70; ++v) edges.push_back({v, v + 1, 1});
+  for (const Edge& e : random.Edges()) {
+    edges.push_back({e.u + 70, e.v + 70, e.w});
+  }
+  const Graph g = MakeGraph(101, edges);
+  const auto p = ComputeParameters(g);
+  EXPECT_FALSE(p.connected);
+  EXPECT_EQ(p.unweighted_diameter, 69);
+  ExpectSameParameters(p, BruteForceParameters(g), "disconnected");
+}
+
+TEST(PropertiesTest, ConcurrentColdCallsShareOneExactMemo) {
+  // Four threads race the first CachedParameters call on one cold graph,
+  // then run Dijkstra on graphs of their own, each through its thread's own
+  // queue storage.
+  constexpr int kThreads = 4;
+  SplitMix64 rng(31);
+  const Graph shared = MakeConnectedRandom(150, 0.04, 1, 20, rng);
+  const GraphParameters want = BruteForceParameters(shared);
+  std::vector<Graph> own;
+  std::vector<std::vector<ShortestPathTree>> reference(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    own.push_back(MakeConnectedRandom(60, 0.08, 1, 1000 * (t + 1), rng));
+    for (NodeId s = 0; s < own.back().NumNodes(); ++s) {
+      reference[static_cast<std::size_t>(t)].push_back(
+          ReferenceDijkstra(own.back(), s));
+    }
+  }
+
+  std::vector<const GraphParameters*> memo(kThreads, nullptr);
+  std::vector<int> mismatches(kThreads, 0);
+  std::atomic<int> arrived{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const auto ti = static_cast<std::size_t>(t);
+      arrived.fetch_add(1);
+      while (arrived.load() < kThreads) {
+      }
+      memo[ti] = &CachedParameters(shared);
+      for (int rep = 0; rep < 3; ++rep) {
+        for (NodeId s = 0; s < own[ti].NumNodes(); ++s) {
+          if (!SameLabels(Dijkstra(own[ti], s),
+                          reference[ti][static_cast<std::size_t>(s)])) {
+            ++mismatches[ti];
+          }
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+
+  for (int t = 0; t < kThreads; ++t) {
+    const auto ti = static_cast<std::size_t>(t);
+    EXPECT_EQ(memo[ti], memo[0]) << "thread " << t;
+    EXPECT_EQ(mismatches[ti], 0) << "thread " << t;
+  }
+  ExpectSameParameters(*memo[0], want, "memo");
 }
 
 }  // namespace

@@ -105,6 +105,19 @@ TEST(RandomizedTest, TruncatedRegimeOnHighSpdGraph) {
   EXPECT_GT(res.stats.charged_rounds, 0);  // substituted stage was charged
 }
 
+TEST(RandomizedTest, StageTwoOnHeavyPath) {
+  // A path at the text formats' weight cap: s² > n truncates the embedding,
+  // stage 1 leaves the two ends apart, and stage 2's spanner needs an edge
+  // of 9 · kMaxEdgeWeight, a terminal distance heavier than any input edge.
+  const Graph g = MakePath(10, kMaxEdgeWeight);
+  const IcInstance ic = MakeIcInstance(10, {{0, 1}, {9, 1}});
+  const auto res = RunRandomizedSteinerForest(g, ic, {}, 3);
+  EXPECT_TRUE(res.truncated);
+  EXPECT_EQ(res.reduced_terminals, 2);
+  EXPECT_TRUE(IsFeasible(g, ic, res.forest));
+  EXPECT_EQ(g.WeightOf(res.forest), 9 * kMaxEdgeWeight);
+}
+
 TEST(RandomizedTest, ForcedTruncationAlsoFeasible) {
   SplitMix64 rng(12);
   const Graph g = MakeConnectedRandom(24, 0.15, 1, 12, rng);

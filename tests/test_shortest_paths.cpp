@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
+#include "shortest_path_reference.hpp"
 
 namespace dsf {
 namespace {
@@ -68,25 +69,78 @@ TEST(DijkstraTest, MatchesBruteForceOnRandomGraphs) {
   }
 }
 
-TEST(MultiSourceDijkstraTest, VoronoiOwnership) {
-  const Graph g = MakePath(7);  // 0-1-2-3-4-5-6, unit weights
-  const std::vector<NodeId> centers{0, 6};
-  const auto v = MultiSourceDijkstra(g, centers);
-  EXPECT_EQ(v.owner[0], 0);
-  EXPECT_EQ(v.owner[1], 0);
-  EXPECT_EQ(v.owner[2], 0);
-  EXPECT_EQ(v.owner[3], 0);  // tie at distance 3 -> smaller center id
-  EXPECT_EQ(v.owner[4], 6);
-  EXPECT_EQ(v.owner[6], 6);
-  EXPECT_EQ(v.dist[3], 3);
+// Every source of `g`: the radix-queue kernel must reproduce the reference
+// heap's dist, hops, parent and parent_edge exactly.
+void ExpectMatchesReference(const Graph& g, const std::string& label) {
+  for (NodeId s = 0; s < g.NumNodes(); ++s) {
+    const auto got = Dijkstra(g, s);
+    const auto want = ReferenceDijkstra(g, s);
+    ASSERT_EQ(got.source, want.source) << label << " source " << s;
+    ASSERT_EQ(got.dist, want.dist) << label << " source " << s;
+    ASSERT_EQ(got.hops, want.hops) << label << " source " << s;
+    ASSERT_EQ(got.parent, want.parent) << label << " source " << s;
+    ASSERT_EQ(got.parent_edge, want.parent_edge) << label << " source " << s;
+  }
 }
 
-TEST(MultiSourceDijkstraTest, ParentsPointTowardOwner) {
-  const Graph g = MakePath(5);
-  const std::vector<NodeId> centers{0};
-  const auto v = MultiSourceDijkstra(g, centers);
-  for (NodeId u = 1; u < 5; ++u) {
-    EXPECT_EQ(v.parent[static_cast<std::size_t>(u)], u - 1);
+TEST(DijkstraTest, MatchesReferenceOnEveryGeneratorFamily) {
+  for (const auto& [label, g] : RegistryGraphs()) {
+    ExpectMatchesReference(g, label);
+  }
+}
+
+TEST(DijkstraTest, MatchesReferenceWithParallelEdges) {
+  // Parallel edges of equal and unequal weight: the first lightest edge in
+  // the predecessor's adjacency order must win, as in the reference.
+  const Graph g = MakeGraph(5, {{0, 1, 3},
+                                {0, 1, 2},
+                                {1, 0, 2},
+                                {1, 2, 1},
+                                {0, 2, 3},
+                                {2, 0, 3},
+                                {2, 3, 1},
+                                {1, 3, 2},
+                                {3, 4, 4},
+                                {3, 4, 4},
+                                {2, 4, 5}});
+  ExpectMatchesReference(g, "parallel");
+}
+
+TEST(DijkstraTest, MatchesReferenceOnDisconnectedGraph) {
+  SplitMix64 rng(9);
+  const Graph a = MakeConnectedRandom(20, 0.2, 1, 3, rng);
+  std::vector<Edge> edges = a.Edges();
+  for (NodeId v = 20; v + 1 < 30; ++v) edges.push_back({v, v + 1, 2});
+  const Graph g = MakeGraph(31, edges);  // node 30 is isolated
+  ExpectMatchesReference(g, "disconnected");
+  EXPECT_FALSE(Dijkstra(g, 0).Reachable(25));
+  EXPECT_EQ(Dijkstra(g, 30).hops[0], -1);
+}
+
+TEST(DijkstraTest, MatchesReferenceOnHeavyWeights) {
+  // Distances far above 2^32 exercise the radix queue's high buckets.
+  constexpr Weight kHeavy = Weight{1} << 40;
+  SplitMix64 rng(12);
+  const Graph g = MakeConnectedRandom(40, 0.1, kHeavy - 1000, kHeavy, rng);
+  ExpectMatchesReference(g, "heavy");
+}
+
+TEST(DijkstraTest, StaysExactAcrossGraphSizes) {
+  // The per-thread buckets grow on the large graph and are released on the
+  // small one that follows; neither change may leak into the trees.
+  SplitMix64 rng(13);
+  const Graph large = MakeConnectedRandom(3000, 0.002, 1, 1000, rng);
+  const Graph small = MakeConnectedRandom(12, 0.3, 1, 5, rng);
+  for (const Graph* g : {&large, &small, &large}) {
+    for (const NodeId s : {0, 7}) {
+      const auto got = Dijkstra(*g, s);
+      const auto want = ReferenceDijkstra(*g, s);
+      ASSERT_EQ(got.dist, want.dist) << g->NumNodes() << " source " << s;
+      ASSERT_EQ(got.hops, want.hops) << g->NumNodes() << " source " << s;
+      ASSERT_EQ(got.parent, want.parent) << g->NumNodes() << " source " << s;
+      ASSERT_EQ(got.parent_edge, want.parent_edge)
+          << g->NumNodes() << " source " << s;
+    }
   }
 }
 
@@ -129,15 +183,6 @@ TEST(ComponentsTest, SubgraphComponents) {
   EXPECT_EQ(c.comp[0], c.comp[1]);
   EXPECT_EQ(c.comp[1], c.comp[2]);
   EXPECT_NE(c.comp[0], c.comp[3]);
-}
-
-TEST(DistancesFromTest, MatrixShape) {
-  const Graph g = MakePath(4);
-  const std::vector<NodeId> sources{0, 3};
-  const auto d = DistancesFrom(g, sources);
-  ASSERT_EQ(d.size(), 2u);
-  EXPECT_EQ(d[0][3], 3);
-  EXPECT_EQ(d[1][0], 3);
 }
 
 }  // namespace

@@ -385,6 +385,31 @@ TEST(WorkloadSpecTest, ErrorsCarryOriginAndLine) {
   }
 }
 
+// Two edges whose path sum overflows Weight (2e18 + 8e18): solvers used to
+// report a negative forest weight as feasible. Weights past kMaxEdgeWeight
+// fail at their line; the cap itself is accepted.
+TEST(WorkloadSpecTest, RejectsEdgeWeightsPastTheCap) {
+  try {
+    (void)ExpandString(
+        "graph 3\n"
+        "edge 0 1 2000000000000000000\n"
+        "edge 1 2 8000000000000000000\n"
+        "ic a\nterminal 0 1\nterminal 2 1\n");
+    FAIL() << "expected weight-range error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("<string>:2"), std::string::npos)
+        << e.what();
+  }
+  const auto one_edge = [](Weight w) {
+    return "graph 2\nedge 0 1 " + std::to_string(w) +
+           "\nic a\nterminal 0 1\nterminal 1 1\n";
+  };
+  EXPECT_THROW((void)ExpandString(one_edge(kMaxEdgeWeight + 1)),
+               std::runtime_error);
+  const Workload w = ExpandString(one_edge(kMaxEdgeWeight));
+  EXPECT_EQ(w.cases[0].graph.TotalWeight(), kMaxEdgeWeight);
+}
+
 TEST(WorkloadSpecTest, BuildRequestsIsSolverMajor) {
   const Workload w = ExpandString(
       "generate grid rows=3 cols=3\n"
@@ -512,6 +537,25 @@ TEST(ImportTest, SteinLibRejectsMalformed) {
   }
 }
 
+TEST(ImportTest, SteinLibRejectsEdgeWeightsPastTheCap) {
+  const auto stp = [](const std::string& w01, const std::string& w12) {
+    return "33D32945 STP\nSECTION Graph\nNodes 3\nEdges 2\nE 1 2 " + w01 +
+           "\nE 2 3 " + w12 + "\nEND\nEOF\n";
+  };
+  std::istringstream bad(stp("2000000000000000000", "8000000000000000000"));
+  try {
+    (void)ParseSteinLib(bad, "<stp>");
+    FAIL() << "expected weight-range error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("<stp>:5"), std::string::npos)
+        << e.what();
+  }
+  const std::string cap = std::to_string(kMaxEdgeWeight);
+  std::istringstream good(stp(cap, cap));
+  EXPECT_EQ(ParseSteinLib(good, "<stp>").graph.TotalWeight(),
+            2 * kMaxEdgeWeight);
+}
+
 TEST(ImportTest, DimacsGraph) {
   std::istringstream in(
       "c a DIMACS-style graph\n"
@@ -555,6 +599,24 @@ TEST(ImportTest, DimacsRejectsMalformed) {
     EXPECT_THROW((void)ParseDimacs(in, "<dimacs>"), std::runtime_error)
         << text;
   }
+}
+
+TEST(ImportTest, DimacsRejectsEdgeWeightsPastTheCap) {
+  std::istringstream bad(
+      "p edge 3 2\n"
+      "a 1 2 2000000000000000000\n"
+      "a 2 3 8000000000000000000\n");
+  try {
+    (void)ParseDimacs(bad, "<dimacs>");
+    FAIL() << "expected weight-range error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("<dimacs>:2"), std::string::npos)
+        << e.what();
+  }
+  std::istringstream good("p edge 2 1\ne 1 2 " +
+                          std::to_string(kMaxEdgeWeight) + "\n");
+  EXPECT_EQ(ParseDimacs(good, "<dimacs>").graph.TotalWeight(),
+            kMaxEdgeWeight);
 }
 
 TEST(ImportTest, StpLoadsAsSingleCaseWorkload) {
