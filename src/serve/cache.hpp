@@ -12,9 +12,9 @@
 //
 // `ResultCache` maps keys to finished `SolveResult`s. It is sharded by key
 // so concurrent connection handlers do not serialize on one mutex; each
-// shard runs an intrusive LRU over an open-addressed map. Hit / miss /
-// eviction / insert counters are process-wide atomics surfaced through the
-// `/stats` request.
+// shard keeps a std::list in recency order plus a std::unordered_map from
+// key to list node. Hit / miss / eviction / insert counters are
+// process-wide atomics surfaced through the `/stats` request.
 #pragma once
 
 #include <atomic>

@@ -211,32 +211,7 @@ void WriteUnitResult(JsonWriter& json, const WorkloadCase& wc,
                      const WorkloadInstance& inst, const SolveResult& r,
                      bool cached, const CacheKey& key) {
   json.BeginObject();
-  json.Key("solver");
-  json.String(r.solver);
-  json.Key("case");
-  json.String(wc.name);
-  json.Key("instance");
-  json.String(inst.name);
-  json.Key("input");
-  json.String(inst.use_cr ? "cr" : "ic");
-  json.Key("weight");
-  json.Int(static_cast<long long>(r.weight));
-  json.Key("feasible");
-  json.Bool(r.feasible);
-  if (r.cancelled) {
-    json.Key("cancelled");
-    json.Bool(true);
-  }
-  json.Key("edges");
-  json.BeginArray();
-  for (const EdgeId e : r.forest) json.Int(e);
-  json.EndArray();
-  json.Key("rounds");
-  json.Int(r.stats.rounds);
-  json.Key("messages");
-  json.Int(r.stats.messages);
-  json.Key("wall_ms");
-  json.Double(r.wall_ms);
+  WriteResultFields(json, wc, inst, r);
   json.Key("cached");
   json.Bool(cached);
   // The unit's canonical key: what a revise request passes as "base" to
@@ -621,6 +596,60 @@ std::string HandleStats(ServeContext& ctx, const std::string& id) {
 }
 
 }  // namespace
+
+void WriteResultFields(JsonWriter& json, const WorkloadCase& wc,
+                       const WorkloadInstance& inst, const SolveResult& r) {
+  json.Key("solver");
+  json.String(r.solver);
+  json.Key("case");
+  json.String(wc.name);
+  json.Key("instance");
+  json.String(inst.name);
+  json.Key("input");
+  json.String(inst.use_cr ? "cr" : "ic");
+  json.Key("weight");
+  json.Int(static_cast<long long>(r.weight));
+  json.Key("feasible");
+  json.Bool(r.feasible);
+  if (r.cancelled) {
+    json.Key("cancelled");
+    json.Bool(true);
+  }
+  json.Key("edges");
+  json.BeginArray();
+  for (const EdgeId e : r.forest) json.Int(e);
+  json.EndArray();
+  // kInfWeight marks an unreachable reference (unsatisfiable instance);
+  // emitting the sentinel as a number would be garbage.
+  if (r.reference_weight >= 0 && r.reference_weight < kInfWeight) {
+    json.Key("reference_weight");
+    json.Int(static_cast<long long>(r.reference_weight));
+    json.Key("approx_ratio");
+    json.Double(r.approx_ratio);
+  }
+  if (r.dual_lower_bound > 0) {
+    json.Key("dual_lower_bound");
+    json.Double(FixedToReal(r.dual_lower_bound));
+  }
+  json.Key("rounds");
+  json.Int(r.stats.rounds);
+  json.Key("charged_rounds");
+  json.Int(r.stats.charged_rounds);
+  json.Key("messages");
+  json.Int(r.stats.messages);
+  json.Key("total_bits");
+  json.Int(r.stats.total_bits);
+  if (inst.use_cr) {
+    json.Key("transform_rounds");
+    json.Int(r.transform_rounds);
+    json.Key("transform_messages");
+    json.Int(r.transform_messages);
+    json.Key("transform_bits");
+    json.Int(r.transform_bits);
+  }
+  json.Key("wall_ms");
+  json.Double(r.wall_ms);
+}
 
 std::string HandleRequestLine(ServeContext& ctx, std::string_view line) {
   std::string id;

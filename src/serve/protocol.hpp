@@ -38,15 +38,20 @@
 //
 // Solve responses carry one result object per case x instance x solver
 // cell, in the same order as the one-shot CLI, and are bit-identical to a
-// one-shot `dsf --scenario` run on the same spec and seed: unit i of the
+// one-shot `dsf --scenario` run on the same spec and seed (both write
+// their result objects with WriteResultFields below): unit i of the
 // expanded request matrix is solved with seed DeriveSeed(spec seed, i)
 // regardless of cache state, batching, or which connection computed it.
 //
 //   {"id":..., "ok":true, "seed":N, "requests":N, "hits":N, "misses":N,
 //    "coalesced":N, "wall_ms":X, "results":[
 //      {"solver":S,"case":C,"instance":I,"input":"ic"|"cr","weight":W,
-//       "feasible":B,"cancelled":true?,"edges":[...],"rounds":N,
-//       "messages":N,"wall_ms":X,"cached":B,"key":HEX}, ...]}
+//       "feasible":B,"cancelled":true?,"edges":[...],
+//       "dual_lower_bound":X?,       — moat solvers only
+//       "rounds":N,"charged_rounds":N,"messages":N,"total_bits":N,
+//       "transform_rounds":N?,"transform_messages":N?,
+//       "transform_bits":N?,         — CR units only (Lemma 2.3 transform)
+//       "wall_ms":X,"cached":B,"key":HEX}, ...]}
 //   {"id":..., "ok":false, "error":STR}            — parse/validation errors
 //   {"id":..., "ok":false, "error":"overloaded", "queue_depth":N}
 //
@@ -72,8 +77,11 @@
 #include <string>
 #include <string_view>
 
+#include "cli/json.hpp"
 #include "serve/admission.hpp"
 #include "serve/cache.hpp"
+#include "solve/solver.hpp"
+#include "workload/spec.hpp"
 
 namespace dsf {
 
@@ -92,5 +100,13 @@ struct ServeContext {
 // newline). Never throws: every failure becomes an {"ok":false,...}
 // response.
 std::string HandleRequestLine(ServeContext& ctx, std::string_view line);
+
+// Writes the members of one result object, shared by the one-shot CLI's
+// "results" and the solve/revise responses above (which append "cached"
+// and "key"); the caller opens and closes the object. "reference_weight"
+// and "approx_ratio" appear once an exact reference was filled in (the
+// CLI's --reference).
+void WriteResultFields(JsonWriter& json, const WorkloadCase& wc,
+                       const WorkloadInstance& inst, const SolveResult& r);
 
 }  // namespace dsf

@@ -471,6 +471,57 @@ TEST(ProtocolTest, GeneratorSpecForm) {
   EXPECT_EQ(results->array[0].GetString("instance", ""), "sampled");
 }
 
+// Served result objects come from the one-shot CLI's writer: a CR unit
+// carries the simulator totals and the Lemma 2.3 transform counters of a
+// direct Solve() of the same unit, on the solve and the revise path alike.
+TEST(ProtocolTest, CrUnitCarriesTheOneShotAccounting) {
+  const std::string spec_text =
+      "seed 5\ngraph 6\nedge 0 1 2\nedge 1 2 3\nedge 2 3 1\nedge 3 4 4\n"
+      "edge 4 5 1\nedge 0 5 2\ncr ring\npair 1 4\npair 0 3\n";
+  std::istringstream in(spec_text);
+  const WorkloadSpec spec = ParseWorkloadSpec(in, "<test>");
+  const Workload workload = ExpandWorkload(spec);
+  SolveOptions base;
+  base.validate = true;
+  const std::vector<std::string> solvers = {"dist-det"};
+  const RequestMatrix matrix = BuildRequests(workload, solvers, base);
+  const SolveResult r = Solve(matrix.requests.at(0), DeriveSeed(spec.seed, 0),
+                              1);
+  ASSERT_GT(r.transform_rounds, 0);
+  const auto expect_one_shot = [&](const JsonValue& response) {
+    ASSERT_TRUE(response.GetBool("ok", false))
+        << response.GetString("error", "");
+    const JsonValue& u = response.Find("results")->array.at(0);
+    EXPECT_EQ(u.GetString("input", ""), "cr");
+    for (const char* key : {"charged_rounds", "total_bits", "transform_rounds",
+                            "transform_messages", "transform_bits", "cached"}) {
+      EXPECT_NE(u.Find(key), nullptr) << key;
+    }
+    EXPECT_EQ(u.GetNumber("rounds", -1), r.stats.rounds);
+    EXPECT_EQ(u.GetNumber("charged_rounds", -1), r.stats.charged_rounds);
+    EXPECT_EQ(u.GetNumber("total_bits", -1), r.stats.total_bits);
+    EXPECT_EQ(u.GetNumber("transform_rounds", -1), r.transform_rounds);
+    EXPECT_EQ(u.GetNumber("transform_messages", -1), r.transform_messages);
+    EXPECT_EQ(u.GetNumber("transform_bits", -1), r.transform_bits);
+    EXPECT_EQ(u.GetString("key", "").size(), 32u);
+  };
+
+  InProcessService svc;
+  const std::string framing =
+      R"("spec":)" + EscapeForJson(spec_text) + R"(,"solvers":["dist-det"])";
+  const JsonValue solved = ParseJson(
+      HandleRequestLine(svc.ctx, R"({"op":"solve",)" + framing + "}"));
+  expect_one_shot(solved);
+  // An empty revise of the same unit is a hit on the entry just stored.
+  const std::string key =
+      solved.Find("results")->array.at(0).GetString("key", "");
+  const JsonValue revised = ParseJson(HandleRequestLine(
+      svc.ctx, R"({"op":"revise",)" + framing + R"(,"base":")" + key +
+                   R"(","delta":{}})"));
+  expect_one_shot(revised);
+  EXPECT_TRUE(revised.Find("results")->array.at(0).GetBool("cached", false));
+}
+
 TEST(ProtocolTest, PingStatsAndErrors) {
   InProcessService svc;
   EXPECT_TRUE(ParseJson(HandleRequestLine(svc.ctx, R"({"op":"ping"})"))

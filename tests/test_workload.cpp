@@ -359,6 +359,30 @@ TEST(WorkloadSpecTest, RejectsMalformedSpecs) {
       "generate er n=10\ncr a\npair 0 12\n",      // pair beyond n
       "import webdav foo.stp\n",                  // unknown import format
       "import stp /nonexistent/x.stp\n",          // unreadable import
+      "edge 0 1 2\n",                             // edge before graph
+      "graph 0\n",                                // empty graph
+      "graph 3\ngraph 3\nic a\nterminal 0 1\n",   // graph without instances
+      "graph 3\nedge 0 3 1\nic a\nterminal 0 1\n",  // endpoint out of range
+      "graph 3\nedge 1 1 1\nic a\nterminal 0 1\n",  // self-loop
+      "graph 3\nedge 0 1 0\nic a\nterminal 0 1\n",  // weight < 1
+      "graph 3\nedge 0 1 1\n",                   // no instances
+      "graph 3\nedge 0 1 1\nic a\n",             // ic without terminals
+      "graph 3\nedge 0 1 1\ncr a\n",             // cr without pairs
+      "graph 3\nedge 0 1 1\nterminal 0 1\n",     // terminal outside ic
+      "graph 3\nedge 0 1 1\ncr a\nterminal 0 1\n",  // terminal inside cr
+      "graph 3\nedge 0 1 1\nic a\npair 0 1\n",      // pair inside ic
+      "graph 3\nedge 0 1 1\nic a\nterminal 0 0\n",  // label < 1
+      "graph 3\nedge 0 1 1\ncr a\npair 1 1\n",      // self-request
+      "graph 3\nedge 0 1 1 9\nic a\nterminal 0 1\n",  // trailing tokens
+      "graph 3\nfrobnicate\n",                   // unknown directive
+      "graph 4294967299\nedge 0 1 1\nic a\nterminal 0 1\n",  // n > int
+      "graph 3\nedge 0 1 1\nic a\nterminal 0 4294967297\n",  // label > int32
+      "graph 3\nedge 0 1 1\nic a\nterminal 0 1\nterminal 0 2\n",  // dup node
+      "graph 3\nedge 0 1 1\ncr a\npair 0 1\npair 1 0\n",  // duplicate pair
+      "graph 3\nedge 0 1 1\nic a\nterminal 0 1\n"
+      "ic a\nterminal 1 1\n",                    // duplicate instance name
+      "graph 3\nedge 0 1 1\nic a\nterminal 0 1\n"
+      "cr a\npair 0 1\n",                        // ... across input forms
   };
   for (const char* text : bad) {
     EXPECT_THROW((void)ExpandString(text), std::runtime_error) << text;
@@ -366,6 +390,13 @@ TEST(WorkloadSpecTest, RejectsMalformedSpecs) {
 }
 
 TEST(WorkloadSpecTest, ErrorsCarryOriginAndLine) {
+  try {
+    (void)ExpandString("graph 3\nedge 0 9 1\n");
+    FAIL() << "expected parse error";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("<string>:2"), std::string::npos)
+        << e.what();
+  }
   try {
     (void)ExpandString("generate grid rows=3 cols=3\nsweep rows 5000\n");
     FAIL() << "expected parse error";
@@ -383,6 +414,58 @@ TEST(WorkloadSpecTest, ErrorsCarryOriginAndLine) {
     EXPECT_NE(std::string(e.what()).find("<string>:2"), std::string::npos)
         << e.what();
   }
+}
+
+TEST(WorkloadSpecTest, LoadRejectsMissingFile) {
+  EXPECT_THROW((void)LoadWorkloadSpec("/nonexistent/path.dsf"),
+               std::runtime_error);
+}
+
+TEST(WorkloadSpecTest, ParsesBothInstanceFormsAndCrlfLineEndings) {
+  // One hand-written graph with both input forms (DSF-IC terminals, DSF-CR
+  // pairs). Text authored on Windows, or arriving over the wire from a
+  // CRLF-framing client, ends every line with "\r\n"; the shared line
+  // reader (common/text.hpp) strips the '\r' before tokenization, so the
+  // parse is identical to the LF version, including names taken from the
+  // end of a line (where the '\r' would otherwise embed itself).
+  const std::string lf =
+      "seed 7\n"
+      "graph 4 as net\n"
+      "edge 0 1 3   # with a trailing comment\n"
+      "edge 1 2 1\n"
+      "edge 2 3 4\n"
+      "ic pairs\n"
+      "terminal 0 1\n"
+      "terminal 3 1\n"
+      "cr orders\n"
+      "pair 1 3\n";
+  std::string crlf;
+  for (const char c : lf) {
+    if (c == '\n') crlf += '\r';
+    crlf += c;
+  }
+  const Workload a = ExpandString(lf);
+  const Workload b = ExpandString(crlf);
+  ASSERT_EQ(b.cases.size(), 1u);
+  EXPECT_EQ(b.cases[0].name, "net");
+  EXPECT_EQ(b.cases[0].graph.NumNodes(), 4);
+  EXPECT_EQ(b.cases[0].graph.NumEdges(), 3);
+  EXPECT_TRUE(b.cases[0].graph.Finalized());
+  EXPECT_EQ(b.cases[0].graph.GetEdge(0).w, 3);
+  const auto& ai = a.cases[0].instances;
+  const auto& bi = b.cases[0].instances;
+  ASSERT_EQ(bi.size(), 2u);
+  // Names parsed from line ends must be byte-identical, not "pairs\r".
+  EXPECT_EQ(bi[0].name, "pairs");
+  EXPECT_EQ(bi[0].name, ai[0].name);
+  EXPECT_EQ(bi[1].name, ai[1].name);
+  EXPECT_FALSE(bi[0].use_cr);
+  EXPECT_EQ(bi[0].ic.NumTerminals(), 2);
+  EXPECT_EQ(bi[0].ic.LabelOf(0), 1);
+  EXPECT_EQ(bi[0].ic.labels, ai[0].ic.labels);
+  EXPECT_TRUE(bi[1].use_cr);
+  EXPECT_EQ(bi[1].cr.NumRequests(), 2);  // symmetric
+  EXPECT_EQ(bi[1].cr.requests, ai[1].cr.requests);
 }
 
 // Two edges whose path sum overflows Weight (2e18 + 8e18): solvers used to
