@@ -137,8 +137,10 @@ class AdmissionQueue {
   bool closing_ = false;
   std::deque<Task> queue_;
   // Canonical key -> the ticket every duplicate joins. Entries cover queued
-  // AND running units; erased only after the result is in the cache, so a
-  // racing submitter always finds either the cache entry or the ticket.
+  // AND running units and are erased only after the result is in the
+  // cache. That does not close every race: a handler whose cache lookup
+  // missed before the insert and whose SubmitAll runs after the erase
+  // finds neither, and the key is admitted (computed) a second time.
   std::unordered_map<CacheKey, std::shared_ptr<UnitTicket>, CacheKeyHash>
       inflight_;
   QueueCounters counters_;

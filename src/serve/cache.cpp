@@ -123,7 +123,8 @@ bool CacheKeyFromHex(std::string_view text, CacheKey* key) {
   return true;
 }
 
-ResultCache::ResultCache(std::size_t capacity, int shards) {
+template <class V>
+LruCache<V>::LruCache(std::size_t capacity, int shards) {
   const int clamped = std::clamp(shards, 1, 64);
   auto count = std::bit_ceil(static_cast<unsigned>(clamped));
   // Fewer entries than shards: shrink the shard table instead of rounding
@@ -142,7 +143,9 @@ ResultCache::ResultCache(std::size_t capacity, int shards) {
   per_shard_capacity_ = capacity / count;
 }
 
-ResultCache::Shard& ResultCache::ShardFor(const CacheKey& key) noexcept {
+template <class V>
+typename LruCache<V>::Shard& LruCache<V>::ShardFor(
+    const CacheKey& key) noexcept {
   // hi is a raw FNV digest, whose low bits are its weakest (hash.hpp):
   // mix before masking into the power-of-two shard table. Buckets inside a
   // shard use lo (already mixed, see CacheKeyHash) — two independent words,
@@ -151,7 +154,8 @@ ResultCache::Shard& ResultCache::ShardFor(const CacheKey& key) noexcept {
                   (shards_.size() - 1)];
 }
 
-std::optional<SolveResult> ResultCache::Lookup(const CacheKey& key) {
+template <class V>
+std::optional<V> LruCache<V>::Lookup(const CacheKey& key) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.index.find(key);
@@ -164,7 +168,8 @@ std::optional<SolveResult> ResultCache::Lookup(const CacheKey& key) {
   return it->second->second;
 }
 
-void ResultCache::Insert(const CacheKey& key, const SolveResult& result) {
+template <class V>
+void LruCache<V>::Insert(const CacheKey& key, V value) {
   if (per_shard_capacity_ == 0) return;
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
@@ -179,13 +184,14 @@ void ResultCache::Insert(const CacheKey& key, const SolveResult& result) {
     evictions_.fetch_add(1, std::memory_order_relaxed);
     entries_.fetch_sub(1, std::memory_order_relaxed);
   }
-  shard.lru.emplace_front(key, result);
+  shard.lru.emplace_front(key, std::move(value));
   shard.index.emplace(key, shard.lru.begin());
   inserts_.fetch_add(1, std::memory_order_relaxed);
   entries_.fetch_add(1, std::memory_order_relaxed);
 }
 
-CacheCounters ResultCache::Counters() const {
+template <class V>
+CacheCounters LruCache<V>::Counters() const {
   CacheCounters c;
   c.hits = hits_.load(std::memory_order_relaxed);
   c.misses = misses_.load(std::memory_order_relaxed);
@@ -195,5 +201,8 @@ CacheCounters ResultCache::Counters() const {
   c.capacity = capacity_;
   return c;
 }
+
+template class LruCache<SolveResult>;
+template class LruCache<std::string>;
 
 }  // namespace dsf

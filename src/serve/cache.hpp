@@ -10,7 +10,9 @@
 // over the canonical field order; a collision needs both 64-bit digests to
 // agree).
 //
-// `ResultCache` maps keys to finished `SolveResult`s. It is sharded by key
+// `LruCache<V>` is the one LRU of both tiers: `ResultCache` maps keys to
+// finished `SolveResult`s in `dsf serve`, and the shard router's `HotCache`
+// (router.hpp) maps request keys to response lines. It is sharded by key
 // so concurrent connection handlers do not serialize on one mutex; each
 // shard keeps a std::list in recency order plus a std::unordered_map from
 // key to list node. Hit / miss / eviction / insert counters are
@@ -23,6 +25,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -77,29 +80,31 @@ struct CacheCounters {
   std::uint64_t capacity = 0;  // configured total capacity
 };
 
-class ResultCache {
+template <class V>
+class LruCache {
  public:
   // At most `capacity` resident entries total, spread over `shards`
   // (rounded up to a power of two, clamped to [1, 64], and shrunk when
-  // capacity < shards — the capacity bound always wins). capacity == 0
-  // disables caching (every lookup is a miss, inserts are dropped).
-  explicit ResultCache(std::size_t capacity, int shards = 8);
+  // capacity < shards — the capacity bound always wins). One shard keeps
+  // recency global. capacity == 0 disables caching (every lookup is a
+  // miss, inserts are dropped).
+  explicit LruCache(std::size_t capacity, int shards = 1);
 
-  ResultCache(const ResultCache&) = delete;
-  ResultCache& operator=(const ResultCache&) = delete;
+  LruCache(const LruCache&) = delete;
+  LruCache& operator=(const LruCache&) = delete;
 
-  // Copies the cached result out under the shard lock (callers own their
+  // Copies the cached value out under the shard lock (callers own their
   // copy; no reference escapes the shard). Counts a hit or a miss.
-  [[nodiscard]] std::optional<SolveResult> Lookup(const CacheKey& key);
+  [[nodiscard]] std::optional<V> Lookup(const CacheKey& key);
 
-  // Inserts (or refreshes) `result` under `key`, evicting the shard's LRU
-  // tail when full. Re-inserting an existing key refreshes recency only.
-  // The cache's contract is "any feasible result for this key is a valid
-  // answer": most entries are deterministic functions of their key, but
+  // Inserts `value` under `key`, evicting the shard's LRU tail when full.
+  // Re-inserting an existing key refreshes recency only. The cache's
+  // contract is "any feasible result for this key is a valid answer":
+  // most entries are deterministic functions of their key, but
   // mode=first portfolio results and warm-started revise results are
   // admitted too — they differ from a cold solve only within the
   // approximation guarantee, never in feasibility (DESIGN.md §5).
-  void Insert(const CacheKey& key, const SolveResult& result);
+  void Insert(const CacheKey& key, V value);
 
   [[nodiscard]] CacheCounters Counters() const;
 
@@ -108,9 +113,9 @@ class ResultCache {
     std::mutex mutex;
     // Most-recently-used at the front; the list owns keys + values, the map
     // indexes into it.
-    std::list<std::pair<CacheKey, SolveResult>> lru;
+    std::list<std::pair<CacheKey, V>> lru;
     std::unordered_map<CacheKey,
-                       std::list<std::pair<CacheKey, SolveResult>>::iterator,
+                       typename std::list<std::pair<CacheKey, V>>::iterator,
                        CacheKeyHash>
         index;
   };
@@ -126,5 +131,12 @@ class ResultCache {
   std::atomic<std::uint64_t> inserts_{0};
   std::atomic<std::uint64_t> entries_{0};
 };
+
+// Both instantiations live in cache.cpp.
+extern template class LruCache<SolveResult>;
+extern template class LruCache<std::string>;
+
+// `dsf serve`'s result cache; ServeOptions::cache_shards sets its shards.
+using ResultCache = LruCache<SolveResult>;
 
 }  // namespace dsf

@@ -1,7 +1,7 @@
 // Client side of the dsf service: a tiny blocking line-protocol connection
-// (used by `dsf client`, the shard router's upstream hop, the serve tests,
-// and the bench_serve load generator) plus the `dsf client` subcommand
-// logic.
+// (used by `dsf client`, the shard router's pooled upstream hops and health
+// probes, the serve tests, and the bench_serve load generator) plus the
+// `dsf client` subcommand logic.
 #pragma once
 
 #include <cstddef>

@@ -2,11 +2,14 @@
 
 #include <netinet/in.h>
 #include <poll.h>
+#include <signal.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <stdexcept>
@@ -211,6 +214,37 @@ int LineEndpoint::Wait() {
   OnDrained();
   drained_ = true;
   return 0;
+}
+
+namespace {
+
+// SIGINT/SIGTERM must only touch async-signal-safe state: a single pipe
+// write through the registered endpoint.
+std::atomic<LineEndpoint*> g_signal_endpoint{nullptr};
+
+extern "C" void DrainSignalHandler(int) {
+  LineEndpoint* endpoint = g_signal_endpoint.load(std::memory_order_relaxed);
+  if (endpoint != nullptr) endpoint->RequestShutdown();
+}
+
+}  // namespace
+
+int LineEndpoint::RunUntilDrained(const char* tool, const std::string& extra) {
+  g_signal_endpoint.store(this, std::memory_order_relaxed);
+  struct sigaction sa{};
+  sa.sa_handler = DrainSignalHandler;
+  ::sigemptyset(&sa.sa_mask);
+  ::sigaction(SIGINT, &sa, nullptr);
+  ::sigaction(SIGTERM, &sa, nullptr);
+
+  std::printf("{\"listening\":true,\"host\":\"%s\",\"port\":%d,%s}\n",
+              options_.host.c_str(), port_, extra.c_str());
+  std::fflush(stdout);
+
+  const int rc = Wait();
+  g_signal_endpoint.store(nullptr, std::memory_order_relaxed);
+  std::fprintf(stderr, "dsf %s: drained, exiting\n", tool);
+  return rc;
 }
 
 }  // namespace dsf

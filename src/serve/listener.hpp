@@ -19,7 +19,10 @@
 //     request lines already received and deliver their responses, wait for
 //     the handler count to reach zero, then let the derived class drain
 //     its own queues via `OnDrained`. `Wait()` returns 0 after a clean
-//     drain.
+//     drain,
+//   * the CLI entry both tiers run after `Start()`: `RunUntilDrained`
+//     prints the {"listening":...} line, routes SIGINT/SIGTERM to the
+//     drain, and prints "drained, exiting" once it completes.
 #pragma once
 
 #include <condition_variable>
@@ -47,6 +50,14 @@ struct LineEndpointOptions {
   int recv_timeout_ms = 300'000;
 };
 
+// The listener fields of a tier's options (ServeOptions, RouterOptions),
+// which carry them under the same names.
+template <class TierOptions>
+LineEndpointOptions EndpointOptionsOf(const TierOptions& o) {
+  return {o.host, o.port, o.max_line_bytes, o.send_timeout_ms,
+          o.recv_timeout_ms};
+}
+
 class LineEndpoint {
  public:
   explicit LineEndpoint(LineEndpointOptions options);
@@ -69,6 +80,13 @@ class LineEndpoint {
   // Blocks until the endpoint has fully drained; returns the process exit
   // code (0 on a clean drain).
   int Wait();
+
+  // The `dsf serve` / `dsf shard-router` process body, called after
+  // Start(): prints {"listening":true,"host":H,"port":P,EXTRA} to stdout
+  // (scripts scrape the bound port from it), routes SIGINT/SIGTERM to
+  // RequestShutdown, blocks in Wait(), then prints "dsf TOOL: drained,
+  // exiting" to stderr. Returns Wait()'s exit code.
+  int RunUntilDrained(const char* tool, const std::string& extra);
 
   // The endpoint's fault hook (disabled unless configured). Tests arm and
   // re-arm it at runtime while traffic is in flight.

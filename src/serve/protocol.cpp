@@ -20,27 +20,11 @@ namespace dsf {
 
 namespace {
 
-// Protocol failures carry a client-facing message; anything else escaping
-// the handlers is reported verbatim the same way.
-std::string ErrorResponse(const std::string& id, const std::string& error,
-                          long long queue_depth = -1) {
-  std::ostringstream os;
-  JsonWriter json(os);
-  json.BeginObject();
-  if (!id.empty()) {
-    json.Key("id");
-    json.String(id);
-  }
-  json.Key("ok");
-  json.Bool(false);
-  json.Key("error");
-  json.String(error);
-  if (queue_depth >= 0) {
-    json.Key("queue_depth");
-    json.Int(queue_depth);
-  }
-  json.EndObject();
-  return os.str();
+// The admission bound rejected the request: nothing of it was enqueued.
+std::string OverloadedReply(ServeContext& ctx, const std::string& id) {
+  return ErrorReply(
+      id, "overloaded",
+      {{"queue_depth", static_cast<long long>(ctx.queue->Counters().depth)}});
 }
 
 // Reads an integral field: present-but-fractional or out-of-range values
@@ -281,9 +265,7 @@ std::string HandleSolve(ServeContext& ctx, const JsonValue& req,
     }
     auto admission = ctx.queue->SubmitAll(miss_units, miss_keys, miss_seeds);
     if (admission.tickets.empty()) {
-      return ErrorResponse(
-          id, "overloaded",
-          static_cast<long long>(ctx.queue->Counters().depth));
+      return OverloadedReply(ctx, id);
     }
     coalesced = admission.coalesced;
     // Wait for EVERY ticket before reacting to errors: queued units borrow
@@ -297,19 +279,13 @@ std::string HandleSolve(ServeContext& ctx, const JsonValue& req,
       }
       results[miss_index[j]] = r;
     }
-    if (!error.empty()) return ErrorResponse(id, error);
+    if (!error.empty()) return ErrorReply(id, error);
   }
 
   const auto stop = std::chrono::steady_clock::now();
   std::ostringstream os;
   JsonWriter json(os);
-  json.BeginObject();
-  if (!id.empty()) {
-    json.Key("id");
-    json.String(id);
-  }
-  json.Key("ok");
-  json.Bool(true);
+  BeginReply(json, id, true);
   json.Key("seed");
   json.UInt(plan.spec.seed);
   json.Key("requests");
@@ -475,27 +451,19 @@ std::string HandleRevise(ServeContext& ctx, const JsonValue& req,
     auto admission = ctx.queue->SubmitAll({&revised, 1}, {&revised_key, 1},
                                           {&seed, 1});
     if (admission.tickets.empty()) {
-      return ErrorResponse(
-          id, "overloaded",
-          static_cast<long long>(ctx.queue->Counters().depth));
+      return OverloadedReply(ctx, id);
     }
     coalesced = admission.coalesced;
     result = admission.tickets[0]->Wait();
     if (!admission.tickets[0]->Error().empty()) {
-      return ErrorResponse(id, admission.tickets[0]->Error());
+      return ErrorReply(id, admission.tickets[0]->Error());
     }
   }
 
   const auto stop = std::chrono::steady_clock::now();
   std::ostringstream os;
   JsonWriter json(os);
-  json.BeginObject();
-  if (!id.empty()) {
-    json.Key("id");
-    json.String(id);
-  }
-  json.Key("ok");
-  json.Bool(true);
+  BeginReply(json, id, true);
   json.Key("seed");
   json.UInt(plan.spec.seed);
   json.Key("requests");
@@ -534,31 +502,12 @@ std::string HandleStats(ServeContext& ctx, const std::string& id) {
 
   std::ostringstream os;
   JsonWriter json(os);
-  json.BeginObject();
-  if (!id.empty()) {
-    json.Key("id");
-    json.String(id);
-  }
-  json.Key("ok");
-  json.Bool(true);
+  BeginReply(json, id, true);
   json.Key("uptime_ms");
   json.Double(
       std::chrono::duration<double, std::milli>(now - ctx.started).count());
   json.Key("cache");
-  json.BeginObject();
-  json.Key("hits");
-  json.UInt(cache.hits);
-  json.Key("misses");
-  json.UInt(cache.misses);
-  json.Key("evictions");
-  json.UInt(cache.evictions);
-  json.Key("inserts");
-  json.UInt(cache.inserts);
-  json.Key("entries");
-  json.UInt(cache.entries);
-  json.Key("capacity");
-  json.UInt(cache.capacity);
-  json.EndObject();
+  WriteCacheCounters(json, cache);
   json.Key("queue");
   json.BeginObject();
   json.Key("depth");
@@ -596,6 +545,49 @@ std::string HandleStats(ServeContext& ctx, const std::string& id) {
 }
 
 }  // namespace
+
+void BeginReply(JsonWriter& json, const std::string& id, bool ok) {
+  json.BeginObject();
+  if (!id.empty()) {
+    json.Key("id");
+    json.String(id);
+  }
+  json.Key("ok");
+  json.Bool(ok);
+}
+
+std::string ErrorReply(
+    const std::string& id, const std::string& error,
+    std::initializer_list<std::pair<std::string_view, long long>> extra) {
+  std::ostringstream os;
+  JsonWriter json(os);
+  BeginReply(json, id, false);
+  json.Key("error");
+  json.String(error);
+  for (const auto& [key, value] : extra) {
+    json.Key(key);
+    json.Int(value);
+  }
+  json.EndObject();
+  return os.str();
+}
+
+void WriteCacheCounters(JsonWriter& json, const CacheCounters& counters) {
+  json.BeginObject();
+  json.Key("hits");
+  json.UInt(counters.hits);
+  json.Key("misses");
+  json.UInt(counters.misses);
+  json.Key("evictions");
+  json.UInt(counters.evictions);
+  json.Key("inserts");
+  json.UInt(counters.inserts);
+  json.Key("entries");
+  json.UInt(counters.entries);
+  json.Key("capacity");
+  json.UInt(counters.capacity);
+  json.EndObject();
+}
 
 void WriteResultFields(JsonWriter& json, const WorkloadCase& wc,
                        const WorkloadInstance& inst, const SolveResult& r) {
@@ -656,20 +648,14 @@ std::string HandleRequestLine(ServeContext& ctx, std::string_view line) {
   try {
     const JsonValue req = ParseJson(line);
     if (!req.IsObject()) {
-      return ErrorResponse("", "request must be a JSON object");
+      return ErrorReply("", "request must be a JSON object");
     }
     id = req.GetString("id", "");
     const std::string op = req.GetString("op", "");
     if (op == "ping") {
       std::ostringstream os;
       JsonWriter json(os);
-      json.BeginObject();
-      if (!id.empty()) {
-        json.Key("id");
-        json.String(id);
-      }
-      json.Key("ok");
-      json.Bool(true);
+      BeginReply(json, id, true);
       json.Key("pong");
       json.Bool(true);
       json.EndObject();
@@ -678,11 +664,11 @@ std::string HandleRequestLine(ServeContext& ctx, std::string_view line) {
     if (op == "stats") return HandleStats(ctx, id);
     if (op == "solve") return HandleSolve(ctx, req, id);
     if (op == "revise") return HandleRevise(ctx, req, id);
-    return ErrorResponse(
+    return ErrorReply(
         id, op.empty() ? "missing 'op' (solve | stats | ping | revise)"
                        : "unknown op '" + op + "'");
   } catch (const std::exception& e) {
-    return ErrorResponse(id, e.what());
+    return ErrorReply(id, e.what());
   }
 }
 

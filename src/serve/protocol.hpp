@@ -74,8 +74,10 @@
 #pragma once
 
 #include <chrono>
+#include <initializer_list>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "cli/json.hpp"
 #include "serve/admission.hpp"
@@ -100,6 +102,22 @@ struct ServeContext {
 // newline). Never throws: every failure becomes an {"ok":false,...}
 // response.
 std::string HandleRequestLine(ServeContext& ctx, std::string_view line);
+
+// Opens a reply object with the head every reply of both tiers starts
+// with: "id" (echoed when the request carried one), then "ok". The caller
+// writes the remaining members and closes the object.
+void BeginReply(JsonWriter& json, const std::string& id, bool ok);
+
+// The failure reply of both tiers: {"id"?,"ok":false,"error":ERROR}
+// followed by the integer members of `extra` in order (e.g. serve's
+// "queue_depth", the router's "backends_down"/"backends").
+std::string ErrorReply(
+    const std::string& id, const std::string& error,
+    std::initializer_list<std::pair<std::string_view, long long>> extra = {});
+
+// Writes `counters` as one stats object: serve's "cache" and the router's
+// "hot_cache" share this shape and key order.
+void WriteCacheCounters(JsonWriter& json, const CacheCounters& counters);
 
 // Writes the members of one result object, shared by the one-shot CLI's
 // "results" and the solve/revise responses above (which append "cached"

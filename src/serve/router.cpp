@@ -1,22 +1,13 @@
 #include "serve/router.hpp"
 
-#include <signal.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
 #include <algorithm>
-#include <cerrno>
-#include <csignal>
-#include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "common/hash.hpp"
-#include "common/text.hpp"
-#include "serve/client.hpp"
-#include "serve/sockets.hpp"
+#include "serve/protocol.hpp"
 
 namespace dsf {
 
@@ -25,29 +16,6 @@ namespace {
 // Second FNV-1a offset basis (see serve/cache.cpp): two independent streams
 // over the same bytes make a 128-bit key.
 constexpr std::uint64_t kSecondOffset = 0x6c62272e07bb0142ULL;
-
-std::string ErrorLine(const std::string& id, const std::string& error,
-                      int backends_down = -1, int backends_total = -1) {
-  std::ostringstream os;
-  JsonWriter json(os);
-  json.BeginObject();
-  if (!id.empty()) {
-    json.Key("id");
-    json.String(id);
-  }
-  json.Key("ok");
-  json.Bool(false);
-  json.Key("error");
-  json.String(error);
-  if (backends_down >= 0) {
-    json.Key("backends_down");
-    json.Int(backends_down);
-    json.Key("backends");
-    json.Int(backends_total);
-  }
-  json.EndObject();
-  return os.str();
-}
 
 // Prefixes the (id-stripped, validated-object) response line with the
 // request's id, restoring the protocol's echo contract for cached and
@@ -222,52 +190,6 @@ void HealthMachine::RecordSuccess() {
   }
 }
 
-// --- HotCache ----------------------------------------------------------------
-
-std::optional<std::string> HotCache::Lookup(const CacheKey& key) {
-  if (capacity_ == 0) return std::nullopt;
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) {
-    ++misses_;
-    return std::nullopt;
-  }
-  lru_.splice(lru_.begin(), lru_, it->second);
-  ++hits_;
-  return it->second->second;
-}
-
-void HotCache::Insert(const CacheKey& key, std::string response) {
-  if (capacity_ == 0) return;
-  std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(key);
-  if (it != index_.end()) {
-    // Deterministic responses cannot change; refresh recency only.
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
-  }
-  lru_.emplace_front(key, std::move(response));
-  index_.emplace(key, lru_.begin());
-  ++inserts_;
-  if (lru_.size() > capacity_) {
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-    ++evictions_;
-  }
-}
-
-HotCache::Counters HotCache::GetCounters() const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  Counters c;
-  c.hits = hits_;
-  c.misses = misses_;
-  c.inserts = inserts_;
-  c.evictions = evictions_;
-  c.entries = lru_.size();
-  c.capacity = capacity_;
-  return c;
-}
-
 // --- canonical request keying ------------------------------------------------
 
 std::string CanonicalRequestText(const JsonValue& request) {
@@ -322,57 +244,17 @@ std::string RouteAffinityText(const JsonValue& request) {
 
 // --- Router ------------------------------------------------------------------
 
-namespace {
-
-LineEndpointOptions RouterEndpointOptions(const RouterOptions& options) {
-  LineEndpointOptions eopt;
-  eopt.host = options.host;
-  eopt.port = options.port;
-  eopt.max_line_bytes = options.max_line_bytes;
-  eopt.send_timeout_ms = options.send_timeout_ms;
-  eopt.recv_timeout_ms = options.recv_timeout_ms;
-  return eopt;
-}
-
-}  // namespace
-
-Router::UpstreamConn::UpstreamConn(UpstreamConn&& other) noexcept
-    : fd(other.fd), buffer(std::move(other.buffer)) {
-  other.fd = -1;
-}
-
-Router::UpstreamConn& Router::UpstreamConn::operator=(
-    UpstreamConn&& other) noexcept {
-  if (this != &other) {
-    Close();
-    fd = other.fd;
-    buffer = std::move(other.buffer);
-    other.fd = -1;
-  }
-  return *this;
-}
-
-void Router::UpstreamConn::Close() noexcept {
-  if (fd >= 0) ::close(fd);
-  fd = -1;
-  buffer.clear();
-}
-
 Router::Router(RouterOptions options)
-    : LineEndpoint(RouterEndpointOptions(options)),
+    : LineEndpoint(EndpointOptionsOf(options)),
       options_(std::move(options)),
       ring_(options_.backends.size(), options_.ring_replicas),
-      hot_cache_(options_.hot_cache_entries) {
+      hot_cache_(options_.hot_cache_entries, /*shards=*/1) {
   if (options_.backends.empty()) {
     throw std::runtime_error("shard router needs at least one backend");
   }
-  backends_.reserve(options_.backends.size());
-  for (const BackendSpec& spec : options_.backends) {
-    BackendState state;
-    state.spec = spec;
-    state.machine = HealthMachine(options_.health);
-    backends_.push_back(std::move(state));
-  }
+  BackendState initial;
+  initial.machine = HealthMachine(options_.health);
+  backends_.assign(options_.backends.size(), initial);
   pools_.resize(options_.backends.size());
   if (!options_.fault_spec.empty()) Fault().Configure(options_.fault_spec);
 }
@@ -422,20 +304,13 @@ void Router::ProbeLoop() {
 }
 
 void Router::ProbeNow() {
-  const std::size_t n = backends_.size();
-  for (std::size_t b = 0; b < n; ++b) {
-    BackendSpec spec;
-    {
-      std::lock_guard<std::mutex> lock(health_mutex_);
-      spec = backends_[b].spec;
-    }
+  const int timeout = options_.probe_timeout_ms;
+  const ConnectionLimits limits{timeout, timeout, timeout,
+                                options_.max_line_bytes};
+  for (std::size_t b = 0; b < backends_.size(); ++b) {
+    const BackendSpec& spec = options_.backends[b];
     bool ok = false;
     try {
-      ConnectionLimits limits;
-      limits.connect_timeout_ms = options_.probe_timeout_ms;
-      limits.send_timeout_ms = options_.probe_timeout_ms;
-      limits.recv_timeout_ms = options_.probe_timeout_ms;
-      limits.max_line_bytes = options_.max_line_bytes;
       ClientConnection conn(spec.host, spec.port, limits);
       const JsonValue reply = conn.RoundTrip("{\"op\":\"ping\"}");
       ok = reply.GetBool("pong", false);
@@ -488,89 +363,46 @@ void Router::RecordBackendSuccess(int backend) {
 }
 
 void Router::FlushPool(int backend) {
-  std::vector<UpstreamConn> stale;
+  std::vector<std::unique_ptr<ClientConnection>> stale;
   {
     std::lock_guard<std::mutex> lock(pool_mutex_);
     stale.swap(pools_[static_cast<std::size_t>(backend)]);
   }
-  // ~UpstreamConn closes each fd.
-}
-
-Router::UpstreamConn Router::ConnectUpstream(int backend) {
-  BackendSpec spec;
-  {
-    std::lock_guard<std::mutex> lock(health_mutex_);
-    spec = backends_[static_cast<std::size_t>(backend)].spec;
-  }
-  UpstreamConn conn;
-  conn.fd = ConnectTcp(spec.host, spec.port, options_.connect_timeout_ms);
-  SetSendTimeout(conn.fd, options_.upstream_send_timeout_ms);
-  SetRecvTimeout(conn.fd, options_.upstream_recv_timeout_ms);
-  return conn;
-}
-
-void Router::RoundTripUpstream(UpstreamConn& conn, std::string_view line,
-                               std::string& response) {
-  std::string framed(line);
-  framed.push_back('\n');
-  if (!SendAll(conn.fd, framed.data(), framed.size())) {
-    throw std::runtime_error(std::string("upstream send: ") +
-                             std::strerror(errno));
-  }
-  while (true) {
-    const std::size_t nl = conn.buffer.find('\n');
-    if (nl != std::string::npos) {
-      response.assign(StripCr(std::string_view(conn.buffer).substr(0, nl)));
-      conn.buffer.erase(0, nl + 1);
-      return;
-    }
-    if (conn.buffer.size() > options_.max_line_bytes) {
-      throw std::runtime_error("upstream response line too long");
-    }
-    char chunk[16384];
-    const ssize_t n = ::recv(conn.fd, chunk, sizeof chunk, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n < 0) {
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
-        throw std::runtime_error("upstream read timed out");
-      }
-      throw std::runtime_error(std::string("upstream recv: ") +
-                               std::strerror(errno));
-    }
-    if (n == 0) throw std::runtime_error("upstream closed mid-request");
-    conn.buffer.append(chunk, static_cast<std::size_t>(n));
-  }
+  // ~ClientConnection closes each fd, outside the pool lock.
 }
 
 bool Router::ForwardTo(int backend, const std::string& line, std::string& raw,
                        bool& ok_out) {
-  // Pass 0 may reuse a pooled connection; a reused fd that fails gets one
+  const auto b = static_cast<std::size_t>(backend);
+  const BackendSpec& spec = options_.backends[b];
+  auto& pool = pools_[b];
+  // Pass 0 may reuse a pooled connection; a reused one that fails gets one
   // fresh-connection pass before the backend is blamed — the pool can hold
   // sockets from before a backend restart, and a stale fd must not re-mark
   // a recovered backend down.
   for (int pass = 0; pass < 2; ++pass) {
-    UpstreamConn conn;
-    bool reused = false;
+    std::unique_ptr<ClientConnection> conn;
     if (pass == 0) {
       std::lock_guard<std::mutex> lock(pool_mutex_);
-      auto& idle = pools_[static_cast<std::size_t>(backend)];
-      if (!idle.empty()) {
-        conn = std::move(idle.back());
-        idle.pop_back();
-        reused = true;
+      if (!pool.empty()) {
+        conn = std::move(pool.back());
+        pool.pop_back();
       }
     }
-    if (conn.fd < 0) {
-      try {
-        conn = ConnectUpstream(backend);
-      } catch (const std::exception&) {
-        RecordBackendFailure(backend);
-        return false;
-      }
-    }
+    const bool reused = conn != nullptr;
     try {
-      raw.clear();
-      RoundTripUpstream(conn, line, raw);
+      if (!reused) {
+        conn = std::make_unique<ClientConnection>(
+            spec.host, spec.port,
+            ConnectionLimits{options_.connect_timeout_ms,
+                             options_.upstream_send_timeout_ms,
+                             options_.upstream_recv_timeout_ms,
+                             options_.max_line_bytes});
+      }
+      conn->SendLine(line);
+      if (!conn->RecvLine(raw)) {
+        throw std::runtime_error("upstream closed mid-request");
+      }
       // Strict framing: the reply must parse as one compact JSON object
       // (anything else is a byzantine backend and counts as a failure).
       const JsonValue reply = ParseJson(raw);
@@ -580,16 +412,12 @@ bool Router::ForwardTo(int backend, const std::string& line, std::string& raw,
       ok_out = reply.GetBool("ok", false);
       {
         std::lock_guard<std::mutex> lock(pool_mutex_);
-        pools_[static_cast<std::size_t>(backend)].push_back(std::move(conn));
+        pool.push_back(std::move(conn));
       }
       RecordBackendSuccess(backend);
       return true;
     } catch (const std::exception&) {
-      conn.Close();
-      if (!reused) {
-        RecordBackendFailure(backend);
-        return false;
-      }
+      if (!reused) break;
     }
   }
   RecordBackendFailure(backend);
@@ -668,25 +496,20 @@ std::string Router::RouteRequest(const JsonValue& request,
     }
   }
   const int total = static_cast<int>(backends_.size());
-  return ErrorLine(id, "unavailable", total - up_count, total);
+  return ErrorReply(id, "unavailable",
+                    {{"backends_down", total - up_count}, {"backends", total}});
 }
 
 std::string Router::StatsResponse(const std::string& id) {
   const std::vector<RouterBackendStatus> statuses = Backends();
   const RouterCounters counters = Counters();
-  const HotCache::Counters cache = hot_cache_.GetCounters();
+  const CacheCounters cache = hot_cache_.Counters();
   const auto uptime = std::chrono::duration_cast<std::chrono::milliseconds>(
       std::chrono::steady_clock::now() - started_);
 
   std::ostringstream os;
   JsonWriter json(os);
-  json.BeginObject();
-  if (!id.empty()) {
-    json.Key("id");
-    json.String(id);
-  }
-  json.Key("ok");
-  json.Bool(true);
+  BeginReply(json, id, true);
   json.Key("router");
   json.Bool(true);
   json.Key("uptime_ms");
@@ -738,20 +561,7 @@ std::string Router::StatsResponse(const std::string& id) {
   json.UInt(counters.shed);
   json.EndObject();
   json.Key("hot_cache");
-  json.BeginObject();
-  json.Key("hits");
-  json.UInt(cache.hits);
-  json.Key("misses");
-  json.UInt(cache.misses);
-  json.Key("inserts");
-  json.UInt(cache.inserts);
-  json.Key("evictions");
-  json.UInt(cache.evictions);
-  json.Key("entries");
-  json.UInt(cache.entries);
-  json.Key("capacity");
-  json.UInt(cache.capacity);
-  json.EndObject();
+  WriteCacheCounters(json, cache);
   json.EndObject();
   return os.str();
 }
@@ -762,7 +572,7 @@ std::string Router::HandleLine(std::string_view line) {
   try {
     const JsonValue request = ParseJson(line);
     if (!request.IsObject()) {
-      return ErrorLine("", "request must be a JSON object");
+      return ErrorReply("", "request must be a JSON object");
     }
     id = request.GetString("id", "");
     const std::string op = request.GetString("op", "");
@@ -771,13 +581,7 @@ std::string Router::HandleLine(std::string_view line) {
       // probe the router itself.
       std::ostringstream os;
       JsonWriter json(os);
-      json.BeginObject();
-      if (!id.empty()) {
-        json.Key("id");
-        json.String(id);
-      }
-      json.Key("ok");
-      json.Bool(true);
+      BeginReply(json, id, true);
       json.Key("pong");
       json.Bool(true);
       json.Key("router");
@@ -790,7 +594,7 @@ std::string Router::HandleLine(std::string_view line) {
     // backend owns the protocol surface.
     return RouteRequest(request, id);
   } catch (const std::exception& e) {
-    return ErrorLine(id, e.what());
+    return ErrorReply(id, e.what());
   }
 }
 
@@ -798,9 +602,10 @@ std::vector<RouterBackendStatus> Router::Backends() const {
   std::lock_guard<std::mutex> lock(health_mutex_);
   std::vector<RouterBackendStatus> out;
   out.reserve(backends_.size());
-  for (const BackendState& state : backends_) {
+  for (std::size_t b = 0; b < backends_.size(); ++b) {
+    const BackendState& state = backends_[b];
     RouterBackendStatus s;
-    s.spec = state.spec;
+    s.spec = options_.backends[b];
     s.up = state.machine.IsUp();
     s.consecutive_failures = state.machine.ConsecutiveFailures();
     s.consecutive_successes = state.machine.ConsecutiveSuccesses();
@@ -826,38 +631,12 @@ RouterCounters Router::Counters() const {
 
 // --- CLI entry ---------------------------------------------------------------
 
-namespace {
-
-std::atomic<Router*> g_signal_router{nullptr};
-
-extern "C" void RouterSignalHandler(int) {
-  Router* router = g_signal_router.load(std::memory_order_relaxed);
-  if (router != nullptr) router->RequestShutdown();
-}
-
-}  // namespace
-
 int RunShardRouter(const RouterOptions& options) {
   Router router(options);
   router.Start();
-
-  g_signal_router.store(&router, std::memory_order_relaxed);
-  struct sigaction sa{};
-  sa.sa_handler = RouterSignalHandler;
-  ::sigemptyset(&sa.sa_mask);
-  ::sigaction(SIGINT, &sa, nullptr);
-  ::sigaction(SIGTERM, &sa, nullptr);
-
-  std::printf(
-      "{\"listening\":true,\"host\":\"%s\",\"port\":%d,\"backends\":%d}\n",
-      options.host.c_str(), router.Port(),
-      static_cast<int>(options.backends.size()));
-  std::fflush(stdout);
-
-  const int rc = router.Wait();
-  g_signal_router.store(nullptr, std::memory_order_relaxed);
-  std::fprintf(stderr, "dsf shard-router: drained, exiting\n");
-  return rc;
+  return router.RunUntilDrained(
+      "shard-router",
+      "\"backends\":" + std::to_string(options.backends.size()));
 }
 
 }  // namespace dsf

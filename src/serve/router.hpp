@@ -21,11 +21,13 @@
 //     down backend, so a flapping process must prove itself before it
 //     takes traffic again.
 //   * a probe thread pinging every backend each `probe_interval_ms`,
-//   * per-backend upstream connection pools (flushed on an up→down
-//     transition; a reused pooled fd that fails gets one fresh-connection
-//     retry before the backend is blamed),
-//   * a router-local `HotCache` of id-stripped response lines keyed by
-//     `RouterRequestKey` in front of the per-shard result caches,
+//   * per-backend pools of upstream `ClientConnection`s (serve/client.hpp)
+//     built from the upstream deadlines and `max_line_bytes` (flushed on
+//     an up→down transition; a reused pooled connection that fails gets
+//     one fresh-connection retry before the backend is blamed),
+//   * a router-local `HotCache` — serve's `LruCache` (serve/cache.hpp)
+//     with one shard, holding id-stripped response lines keyed by
+//     `RouterRequestKey` — in front of the per-shard result caches,
 //   * bounded retry with exponential backoff + deterministic jitter
 //     (serve/retry.hpp) and failover along the ring walk; all replicas
 //     down yields a structured {"ok":false,"error":"unavailable"} reply.
@@ -36,17 +38,16 @@
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <list>
+#include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "cli/json.hpp"
 #include "serve/cache.hpp"
+#include "serve/client.hpp"
 #include "serve/listener.hpp"
 #include "serve/retry.hpp"
 
@@ -129,38 +130,9 @@ class HealthMachine {
 
 // LRU of id-stripped response lines keyed by the canonical request key. A
 // hit skips the backend hop entirely; safe because responses are
-// deterministic functions of the id-stripped request. capacity == 0
-// disables (every lookup misses, inserts are dropped).
-class HotCache {
- public:
-  explicit HotCache(std::size_t capacity) : capacity_(capacity) {}
-
-  [[nodiscard]] std::optional<std::string> Lookup(const CacheKey& key);
-  void Insert(const CacheKey& key, std::string response);
-
-  struct Counters {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t inserts = 0;
-    std::uint64_t evictions = 0;
-    std::uint64_t entries = 0;
-    std::uint64_t capacity = 0;
-  };
-  [[nodiscard]] Counters GetCounters() const;
-
- private:
-  std::size_t capacity_ = 0;
-  mutable std::mutex mutex_;
-  std::list<std::pair<CacheKey, std::string>> lru_;  // MRU at the front
-  std::unordered_map<CacheKey,
-                     std::list<std::pair<CacheKey, std::string>>::iterator,
-                     CacheKeyHash>
-      index_;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
-  std::uint64_t inserts_ = 0;
-  std::uint64_t evictions_ = 0;
-};
+// deterministic functions of the id-stripped request. The router builds it
+// with one shard, so recency is global.
+using HotCache = LruCache<std::string>;
 
 // --- canonical request keying ------------------------------------------------
 
@@ -250,8 +222,8 @@ class Router : public LineEndpoint {
   // Introspection for tests and the stats op.
   [[nodiscard]] std::vector<RouterBackendStatus> Backends() const;
   [[nodiscard]] RouterCounters Counters() const;
-  [[nodiscard]] HotCache::Counters HotCacheCounters() const {
-    return hot_cache_.GetCounters();
+  [[nodiscard]] CacheCounters HotCacheCounters() const {
+    return hot_cache_.Counters();
   }
 
  protected:
@@ -259,28 +231,10 @@ class Router : public LineEndpoint {
   void OnDrained() override;
 
  private:
-  // One pooled upstream connection; the buffer carries bytes read past the
-  // previous response line (none in practice — one line per round trip).
-  struct UpstreamConn {
-    int fd = -1;
-    std::string buffer;
-
-    UpstreamConn() = default;
-    UpstreamConn(UpstreamConn&& other) noexcept;
-    UpstreamConn& operator=(UpstreamConn&& other) noexcept;
-    UpstreamConn(const UpstreamConn&) = delete;
-    UpstreamConn& operator=(const UpstreamConn&) = delete;
-    ~UpstreamConn() { Close(); }
-    void Close() noexcept;
-  };
-
   std::string RouteRequest(const JsonValue& request, const std::string& id);
   std::string StatsResponse(const std::string& id);
   bool ForwardTo(int backend, const std::string& line, std::string& raw,
                  bool& ok_out);
-  void RoundTripUpstream(UpstreamConn& conn, std::string_view line,
-                         std::string& response);
-  UpstreamConn ConnectUpstream(int backend);
   void FlushPool(int backend);
   int FirstUpBackend(const std::vector<int>& order, int& up_count) const;
   void RecordBackendFailure(int backend);
@@ -290,7 +244,6 @@ class Router : public LineEndpoint {
   void StopProbe() noexcept;
 
   struct BackendState {
-    BackendSpec spec;
     HealthMachine machine;
     std::uint64_t forwarded = 0;
     std::uint64_t failures = 0;
@@ -309,7 +262,7 @@ class Router : public LineEndpoint {
   std::vector<BackendState> backends_;
 
   std::mutex pool_mutex_;
-  std::vector<std::vector<UpstreamConn>> pools_;
+  std::vector<std::vector<std::unique_ptr<ClientConnection>>> pools_;
 
   std::thread probe_thread_;
   std::mutex probe_mutex_;
@@ -323,9 +276,8 @@ class Router : public LineEndpoint {
   std::atomic<std::uint64_t> shed_{0};
 };
 
-// CLI entry: starts the router, prints one {"listening":...} JSON line
-// (scripts scrape the bound port), installs SIGINT/SIGTERM drain handlers,
-// and blocks until shutdown.
+// CLI entry: starts the router and runs it until a SIGINT/SIGTERM drain
+// (LineEndpoint::RunUntilDrained prints the {"listening":...} line).
 int RunShardRouter(const RouterOptions& options);
 
 }  // namespace dsf

@@ -1,30 +1,12 @@
 #include "serve/server.hpp"
 
-#include <signal.h>
-
-#include <atomic>
 #include <chrono>
-#include <csignal>
-#include <cstdio>
-#include <utility>
+#include <string>
 
 namespace dsf {
 
-namespace {
-
-LineEndpointOptions EndpointOptions(const ServeOptions& options) {
-  LineEndpointOptions eopt;
-  eopt.host = options.host;
-  eopt.port = options.port;
-  eopt.max_line_bytes = options.max_line_bytes;
-  eopt.send_timeout_ms = options.send_timeout_ms;
-  eopt.recv_timeout_ms = options.recv_timeout_ms;
-  return eopt;
-}
-
-}  // namespace
-
-Server::Server(ServeOptions options) : LineEndpoint(EndpointOptions(options)) {
+Server::Server(ServeOptions options)
+    : LineEndpoint(EndpointOptionsOf(options)) {
   cache_ = std::make_unique<ResultCache>(options.cache_entries,
                                          options.cache_shards);
   AdmissionOptions aopt;
@@ -45,40 +27,11 @@ Server::~Server() {
   Shutdown();
 }
 
-namespace {
-
-// SIGINT/SIGTERM must only touch async-signal-safe state: a single pipe
-// write through the registered server.
-std::atomic<Server*> g_signal_server{nullptr};
-
-extern "C" void ServeSignalHandler(int) {
-  Server* server = g_signal_server.load(std::memory_order_relaxed);
-  if (server != nullptr) server->RequestShutdown();
-}
-
-}  // namespace
-
 int RunServe(const ServeOptions& options) {
   Server server(options);
   server.Start();
-
-  g_signal_server.store(&server, std::memory_order_relaxed);
-  struct sigaction sa{};
-  sa.sa_handler = ServeSignalHandler;
-  ::sigemptyset(&sa.sa_mask);
-  ::sigaction(SIGINT, &sa, nullptr);
-  ::sigaction(SIGTERM, &sa, nullptr);
-
-  // One scrapeable line: scripts read the bound port from here.
-  std::printf(
-      "{\"listening\":true,\"host\":\"%s\",\"port\":%d,\"threads\":%d}\n",
-      options.host.c_str(), server.Port(), options.threads);
-  std::fflush(stdout);
-
-  const int rc = server.Wait();
-  g_signal_server.store(nullptr, std::memory_order_relaxed);
-  std::fprintf(stderr, "dsf serve: drained, exiting\n");
-  return rc;
+  return server.RunUntilDrained(
+      "serve", "\"threads\":" + std::to_string(options.threads));
 }
 
 }  // namespace dsf

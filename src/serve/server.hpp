@@ -64,9 +64,8 @@ class Server : public LineEndpoint {
   ServeContext context_;
 };
 
-// CLI entry: starts the server, prints one {"listening":...} JSON line to
-// stdout (CI and scripts scrape the bound port from it), installs SIGINT /
-// SIGTERM drain handlers, and blocks until shutdown.
+// CLI entry: starts the server and runs it until a SIGINT/SIGTERM drain
+// (LineEndpoint::RunUntilDrained prints the {"listening":...} line).
 int RunServe(const ServeOptions& options);
 
 }  // namespace dsf

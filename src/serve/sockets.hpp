@@ -1,5 +1,5 @@
-// Low-level socket helpers shared by every end of the wire (server.cpp,
-// client.cpp, router.cpp), so the sides of the protocol cannot drift.
+// Low-level socket helpers shared by both ends of the wire (listener.cpp,
+// client.cpp), so the sides of the protocol cannot drift.
 #pragma once
 
 #include <arpa/inet.h>

@@ -10,6 +10,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <string>
@@ -194,7 +195,7 @@ TEST(HotCacheTest, LruEvictionAndCounters) {
   EXPECT_FALSE(cache.Lookup(k2).has_value());
   EXPECT_EQ(cache.Lookup(k1).value_or(""), "r1");
   EXPECT_EQ(cache.Lookup(k3).value_or(""), "r3");
-  const HotCache::Counters c = cache.GetCounters();
+  const CacheCounters c = cache.Counters();
   EXPECT_EQ(c.inserts, 3u);
   EXPECT_EQ(c.evictions, 1u);
   EXPECT_EQ(c.entries, 2u);
@@ -206,7 +207,9 @@ TEST(HotCacheTest, ZeroCapacityDisables) {
   HotCache cache(0);
   cache.Insert({1, 1}, "r");
   EXPECT_FALSE(cache.Lookup({1, 1}).has_value());
-  EXPECT_EQ(cache.GetCounters().entries, 0u);
+  EXPECT_EQ(cache.Counters().entries, 0u);
+  // A disabled cache still counts its lookups, like serve's result cache.
+  EXPECT_EQ(cache.Counters().misses, 1u);
 }
 
 // --- backend spec parsing ----------------------------------------------------
@@ -361,6 +364,51 @@ TEST(RouterTest, RoutesSolvesBitIdenticallyAndServesHotHits) {
   EXPECT_DOUBLE_EQ(stats.GetNumber("backends_up", 0), 2.0);
   ASSERT_NE(stats.Find("backends"), nullptr);
   EXPECT_EQ(stats.Find("backends")->array.size(), 2u);
+  const JsonValue* hot = stats.Find("hot_cache");
+  ASSERT_NE(hot, nullptr);
+  EXPECT_DOUBLE_EQ(hot->GetNumber("hits", -1), 6.0);
+  EXPECT_DOUBLE_EQ(hot->GetNumber("misses", -1), 6.0);
+  EXPECT_DOUBLE_EQ(hot->GetNumber("inserts", -1), 6.0);
+  EXPECT_DOUBLE_EQ(hot->GetNumber("evictions", -1), 0.0);
+  EXPECT_DOUBLE_EQ(hot->GetNumber("entries", -1), 6.0);
+  EXPECT_DOUBLE_EQ(hot->GetNumber("capacity", -1), 512.0);
+
+  router.RequestShutdown();
+  EXPECT_EQ(router.Wait(), 0);
+}
+
+TEST(RouterTest, StalePooledConnectionGetsAFreshPassWithoutBlame) {
+  // The backend restarts on the same port between two requests, so the
+  // router's pool holds a connection to the dead process. Reusing it
+  // fails; that failure must buy one fresh connection, not a strike
+  // against the backend — with no retries and failures_to_down 1, a
+  // strike would shed the request and mark the backend down.
+  auto first = std::make_unique<Server>(ServeOptions());
+  first->Start();
+  const int port = first->Port();
+  RouterOptions options = FastRouter({port});
+  options.retry.retries = 0;
+  options.health.failures_to_down = 1;
+  options.hot_cache_entries = 0;
+  Router router(options);
+  router.Start();
+
+  ClientConnection conn("127.0.0.1", router.Port());
+  ExpectMatchesOneShot(conn.RoundTrip(SolveLine(0)), 0);  // pools one fd
+  first->RequestShutdown();
+  ASSERT_EQ(first->Wait(), 0);
+  first.reset();
+  ServeOptions restarted;
+  restarted.port = port;
+  Server second(restarted);
+  second.Start();
+
+  ExpectMatchesOneShot(conn.RoundTrip(SolveLine(1)), 1);
+  const RouterBackendStatus backend = router.Backends()[0];
+  EXPECT_EQ(backend.failures, 0u);
+  EXPECT_EQ(backend.times_down, 0u);
+  EXPECT_TRUE(backend.up);
+  EXPECT_EQ(router.Counters().retries, 0u);
 
   router.RequestShutdown();
   EXPECT_EQ(router.Wait(), 0);

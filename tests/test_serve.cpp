@@ -799,8 +799,6 @@ TEST(ServerTest, CoalescedLeaderConnectionDiesMidSolve) {
   Server server(options);
   server.Start();
 
-  // Heavy enough that B usually lands while A's unit is still in flight
-  // (the contract below holds either way: coalesced or served from cache).
   const std::string request =
       R"({"op":"solve","generate":"grid rows=12 cols=12",)"
       R"("instance":"random-ic k=3 tpc=3","solvers":["gw-moat"],"seed":17})";
@@ -809,6 +807,16 @@ TEST(ServerTest, CoalescedLeaderConnectionDiesMidSolve) {
     ClientConnection leader("127.0.0.1", server.Port());
     leader.SendLine(request);
   }  // destructor closes the socket with the solve still in flight
+
+  // B goes out only once the leader's unit has finished. `computed` is
+  // bumped after the cache insert, so B's lookup is a deterministic hit.
+  // Sent earlier, B could miss the cache and then find the in-flight entry
+  // already gone, which admits the key a second time (DESIGN.md §5).
+  for (int i = 0; i < 30'000 && server.Queue().Counters().computed < 1;
+       ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(server.Queue().Counters().computed, 1u);
 
   ClientConnection follower("127.0.0.1", server.Port());
   follower.SendLine(request);
@@ -829,7 +837,7 @@ TEST(ServerTest, CoalescedLeaderConnectionDiesMidSolve) {
   }
 
   // Exactly one computation was scheduled for the pair; the duplicate was
-  // coalesced onto the leader's ticket or answered from the cache.
+  // answered from the cache.
   const CacheCounters cache = server.Cache().Counters();
   const QueueCounters queue = server.Queue().Counters();
   EXPECT_EQ(queue.admitted, 1u);
