@@ -14,7 +14,6 @@
 #include <string>
 #include <vector>
 
-#include "bench_common.hpp"
 #include "solve/batch.hpp"
 #include "workload/spec.hpp"
 

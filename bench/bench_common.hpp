@@ -1,6 +1,6 @@
-// Shared helpers for the benchmark suite. Each bench binary regenerates one
-// experiment row of DESIGN.md §6; results are exposed as benchmark counters
-// (rounds, ratios, phases, bits) — the quantities the paper's theorems bound.
+// Shared helpers for the benchmark binaries: registry parameter lists, a
+// seeded terminal spread, and graph-parameter counters. The experiment
+// matrix of DESIGN.md §6 is gated by gtests, not by these binaries.
 #pragma once
 
 #include <benchmark/benchmark.h>

@@ -6,10 +6,10 @@
 //   * Flood — every node sends on every edge every round: zero idle nodes,
 //     so this isolates the per-message path (mirror delivery, dirty-list
 //     accounting, inline message fields, buffer reuse).
-//   * DetMoat / Rand — the paper's protocols on the largest
-//     bench_rounds_vs_n configuration (n = 256 sparse): the end-to-end
-//     wall-clock the ISSUE's ≥3x acceptance criterion is stated over, where
-//     active-set scheduling additionally skips quiescent nodes.
+//   * DetMoat / Rand — the paper's protocols on an n = 256 sparse random
+//     graph (expected degree 6, k = 4: the n-sweep family of DESIGN.md §6
+//     row E4): end-to-end wall clock, where active-set scheduling
+//     additionally skips quiescent nodes.
 //   * GrantedKnowledge — ComputeParameters, the exact n, D, s, WD every
 //     cold dist-* run pays for before its first simulated round.
 //
@@ -161,9 +161,9 @@ void BM_FloodDense(benchmark::State& state) {
 }
 BENCHMARK(BM_FloodDense)->Arg(0)->Arg(1)->Arg(2)->Unit(benchmark::kMillisecond);
 
-// The largest bench_rounds_vs_n configuration (E5's n = 256 sparse row):
-// end-to-end protocol wall clock. Static knowledge is warmed outside the
-// timed region — it is a granted input (footnote 2), not simulator work.
+// The n-sweep family of DESIGN.md §6 row E4 at n = 256: end-to-end protocol
+// wall clock. Static knowledge is warmed outside the timed region — it is a
+// granted input (footnote 2), not simulator work.
 void BM_DetMoatLargestN(benchmark::State& state) {
   const int n = 256;
   SplitMix64 rng(static_cast<std::uint64_t>(n) * 31 + 7);

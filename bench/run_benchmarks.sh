@@ -1,15 +1,15 @@
 #!/usr/bin/env sh
 # Records the performance trajectory: runs bench_simulator, the batch-
-# engine throughput sweep, and the service-layer load generator (plus a
-# one-row smoke of the E5 n-sweep) with JSON output so successive commits
+# engine throughput sweep, the service-layer load generator, the shard
+# router, and the racing portfolio with JSON output so successive commits
 # can be compared.
 #
 #   bench/run_benchmarks.sh [build_dir] [out_dir]
 #
 # Defaults: build_dir = build, out_dir = build_dir. Writes
 # BENCH_simulator.json, BENCH_batch.json, BENCH_serve.json,
-# BENCH_router.json, BENCH_portfolio.json, and BENCH_smoke.json into
-# out_dir. Refuses to run against a non-Release build.
+# BENCH_router.json, and BENCH_portfolio.json into out_dir. Refuses to run
+# against a non-Release build.
 #
 # Fails loudly: a missing binary, a crashing benchmark, or a run that
 # produces empty/truncated JSON all abort with a nonzero exit and a
@@ -31,7 +31,7 @@ if ! grep -q '^CMAKE_BUILD_TYPE:[^=]*=Release$' "$BUILD_DIR/CMakeCache.txt" 2>/d
   exit 1
 fi
 
-for bin in bench_simulator bench_batch_throughput bench_serve bench_router bench_portfolio bench_rounds_vs_n; do
+for bin in bench_simulator bench_batch_throughput bench_serve bench_router bench_portfolio; do
   if [ ! -x "$BUILD_DIR/$bin" ]; then
     echo "error: $BUILD_DIR/$bin not built (need Google Benchmark;" \
          "configure with e.g. cmake -B $BUILD_DIR -S . -DCMAKE_BUILD_TYPE=Release)" >&2
@@ -100,12 +100,6 @@ run_bench bench_router "$OUT_DIR/BENCH_router.json" \
 # must never cost more than the best roster member (DESIGN.md §3).
 run_bench bench_portfolio "$OUT_DIR/BENCH_portfolio.json"
 
-# One smoke row of the E5 sweep (det, n = 64): cheap end-to-end sanity that
-# the protocol path still runs under the benchmark harness.
-# (the registered name carries an /iterations:1 suffix, so no $-anchor)
-run_bench bench_rounds_vs_n "$OUT_DIR/BENCH_smoke.json" \
-  --benchmark_filter='BM_DetRoundsVsN/64'
-
 # The suite wall: the committed bench/SUITE_baseline.json must still match
 # a fresh run of the quality/latency matrix (dsf suite --check, DESIGN.md
 # §9). A stale baseline — solver drift, corpus edits, roster changes — fails
@@ -125,5 +119,4 @@ fi
 
 echo "wrote $OUT_DIR/BENCH_simulator.json, $OUT_DIR/BENCH_batch.json," \
      "$OUT_DIR/BENCH_serve.json, $OUT_DIR/BENCH_router.json," \
-     "$OUT_DIR/BENCH_portfolio.json, $OUT_DIR/BENCH_smoke.json," \
-     "and $OUT_DIR/SUITE_fresh.json"
+     "$OUT_DIR/BENCH_portfolio.json, and $OUT_DIR/SUITE_fresh.json"

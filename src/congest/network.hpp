@@ -122,8 +122,8 @@ class NodeApi {
   // than kChQuiesce/kChBfs (used by the quiescence detector), or -1.
   [[nodiscard]] long LastAppActivity() const noexcept;
 
-  // Phase accounting: the coordinator of a phased protocol (moat growing,
-  // Borůvka) reports completed algorithm phases so RunStats can expose them
+  // Phase accounting: the coordinator of a phased protocol (moat growing)
+  // reports completed algorithm phases so RunStats can expose them
   // alongside rounds/bits.
   void NotePhases(long phases);
 

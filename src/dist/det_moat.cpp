@@ -354,7 +354,6 @@ DetMoatResult RunDistributedMoat(const Graph& g, const IcInstance& ic,
   result.merges = root.schedule.merges;
   result.dual_sum = root.schedule.dual_sum;
   result.phases = root.schedule.merge_phases;
-  result.checkpoints = root.schedule.growth_phases;
   // A cancelled run holds a partial (possibly infeasible) mark set; hand it
   // back raw — the pipeline reports `cancelled` and validation decides.
   if (result.stats.cancelled) {

@@ -50,9 +50,8 @@ struct DetMoatResult {
   std::vector<EdgeId> forest;      // minimal feasible subforest (the output)
   std::vector<EdgeId> raw_forest;  // F_imax before final pruning
   std::vector<MergeRecord> merges;
-  Fixed dual_sum = 0;   // lower bound on OPT (Lemma C.4)
-  int phases = 0;       // merge phases (Definition 4.3 / 4.19)
-  int checkpoints = 0;  // Algorithm 2 growth phases (0 for Algorithm 1)
+  Fixed dual_sum = 0;  // lower bound on OPT (Lemma C.4)
+  int phases = 0;      // merge phases (Definition 4.3 / 4.19)
   RunStats stats;
 };
 

@@ -366,8 +366,6 @@ RandomizedResult RunRandomizedSteinerForest(const Graph& g,
                                             std::uint64_t seed) {
   DSF_CHECK(ic.NumNodes() == g.NumNodes());
   DSF_CHECK(options.repetitions >= 1);
-  DSF_CHECK_MSG(!(options.force_truncated && options.force_full),
-                "force_truncated and force_full are mutually exclusive");
   const StaticKnowledge known = detail::KnownOrThrow(g);
   const IcInstance minimal = MakeMinimal(ic);
 
@@ -375,9 +373,7 @@ RandomizedResult RunRandomizedSteinerForest(const Graph& g,
   if (minimal.NumTerminals() == 0) return result;
 
   const long s = known.spd_bound;
-  result.truncated =
-      options.force_truncated ||
-      (!options.force_full && s * s > static_cast<long>(known.n));
+  result.truncated = s * s > static_cast<long>(known.n);
 
   bool have_best = false;
   Weight best_weight = 0;

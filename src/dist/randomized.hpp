@@ -9,12 +9,11 @@
 // its ancestor along the LE via-pointers, marking the traversed edges.
 //
 // Stage 2 (substituted): with truncated propagation (hop budget ~ √n, the
-// regime s² > n, or force_truncated) the clusters of a component may remain
-// disconnected. The F-reduced instance on the per-component cluster
-// representatives is then solved on a greedy metric spanner
-// (GreedyMetricSpanner, see DESIGN.md "Substitutions") and the chosen
-// spanner edges are realized as least-weight paths; the substituted work is
-// charged to RunStats::charged_rounds.
+// regime s² > n) the clusters of a component may remain disconnected. The
+// F-reduced instance on the per-component cluster representatives is then
+// solved on a greedy metric spanner (GreedyMetricSpanner, see DESIGN.md
+// "Substitutions") and the chosen spanner edges are realized as least-weight
+// paths; the substituted work is charged to RunStats::charged_rounds.
 //
 // Repetitions re-run the pipeline on derived seeds and keep the lightest
 // output (the paper's c·log n amplification).
@@ -31,10 +30,6 @@ namespace dsf {
 struct RandomizedOptions {
   // Number of independent repetitions; the lightest forest wins.
   int repetitions = 1;
-  // Force the truncated (hop-budgeted) embedding regardless of s vs √n.
-  bool force_truncated = false;
-  // Force full propagation (disables the min{s, √n} truncation).
-  bool force_full = false;
   // Edges whose traffic the simulator meters separately (Section 3 harness).
   std::vector<EdgeId> metered_cut;
   // Simulator scheduling (active-set / threads); every setting is

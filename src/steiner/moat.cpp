@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
-#include <tuple>
 
 #include "graph/shortest_paths.hpp"
 #include "graph/union_find.hpp"
@@ -189,68 +188,6 @@ int MoatBook::GrowAndCheckpoint(Fixed mu) {
   return deactivated;
 }
 
-std::vector<int> MoatBook::MinimalMergeSubset() const {
-  const int t = NumTerminals();
-  // Forest on terminal indices induced by the merge log.
-  std::vector<std::vector<std::pair<int, int>>> adj(
-      static_cast<std::size_t>(t));  // (neighbor terminal idx, merge idx)
-  for (int m = 0; m < static_cast<int>(merges_.size()); ++m) {
-    const auto& rec = merges_[static_cast<std::size_t>(m)];
-    const int a = IndexOf(rec.v);
-    const int b = IndexOf(rec.w);
-    adj[static_cast<std::size_t>(a)].push_back({b, m});
-    adj[static_cast<std::size_t>(b)].push_back({a, m});
-  }
-  std::map<Label, int> total;
-  for (const Label l : labels_) ++total[l];
-
-  std::vector<int> needed;
-  std::vector<char> visited(static_cast<std::size_t>(t), 0);
-  // Iterative DFS computing per-subtree label counts; an edge is needed iff
-  // some label has terminals strictly on both of its sides.
-  std::vector<std::map<Label, int>> counts(static_cast<std::size_t>(t));
-  for (int r = 0; r < t; ++r) {
-    if (visited[static_cast<std::size_t>(r)]) continue;
-    // Post-order over the tree containing r.
-    std::vector<std::tuple<int, int, int>> stack;  // (node, parent, merge idx)
-    std::vector<std::tuple<int, int, int>> order;
-    stack.push_back({r, -1, -1});
-    visited[static_cast<std::size_t>(r)] = 1;
-    while (!stack.empty()) {
-      auto [u, p, me] = stack.back();
-      stack.pop_back();
-      order.push_back({u, p, me});
-      for (const auto& [nb, m] : adj[static_cast<std::size_t>(u)]) {
-        if (!visited[static_cast<std::size_t>(nb)]) {
-          visited[static_cast<std::size_t>(nb)] = 1;
-          stack.push_back({nb, u, m});
-        }
-      }
-    }
-    for (auto it = order.rbegin(); it != order.rend(); ++it) {
-      auto [u, p, me] = *it;
-      ++counts[static_cast<std::size_t>(u)][labels_[static_cast<std::size_t>(u)]];
-      if (p >= 0) {
-        // Does the subtree of u split some label?
-        bool split = false;
-        for (const auto& [lab, c] : counts[static_cast<std::size_t>(u)]) {
-          if (c > 0 && c < total[lab]) {
-            split = true;
-            break;
-          }
-        }
-        if (split) needed.push_back(me);
-        // Merge counts into parent (small-to-large not needed at this scale).
-        for (const auto& [lab, c] : counts[static_cast<std::size_t>(u)]) {
-          counts[static_cast<std::size_t>(p)][lab] += c;
-        }
-      }
-    }
-  }
-  std::sort(needed.begin(), needed.end());
-  return needed;
-}
-
 // ---------------------------------------------------------------------------
 // Shared selection engine (Algorithm 1 / Algorithm 2 event loop)
 // ---------------------------------------------------------------------------
@@ -418,7 +355,6 @@ MoatResult CentralizedMoatGrowing(const Graph& g, const IcInstance& ic,
     }
   }
 
-  result.raw_forest = raw;
   result.merges = schedule.merges;
   result.dual_sum = schedule.dual_sum;
   result.merge_phases = schedule.merge_phases;

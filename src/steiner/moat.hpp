@@ -116,11 +116,6 @@ class MoatBook {
     return merges_;
   }
 
-  // The subset of merge edges (as a forest on terminal indices) that is
-  // minimal w.r.t. connecting every label class — the Fmin of Section E.1
-  // step 4. Returns indices into Merges().
-  [[nodiscard]] std::vector<int> MinimalMergeSubset() const;
-
  private:
   void RecomputeActivity(int moat_root);
   [[nodiscard]] bool Satisfied(int moat_root) const;
@@ -163,7 +158,6 @@ struct MoatOptions {
 
 struct MoatResult {
   std::vector<EdgeId> forest;       // minimal feasible subforest (the output)
-  std::vector<EdgeId> raw_forest;   // F_imax before final pruning
   std::vector<MergeRecord> merges;
   Fixed dual_sum = 0;      // lower bound on OPT (divide by 1+ε/2 for Alg. 2)
   int merge_phases = 0;    // jmax (Definition 4.3 / 4.19)

@@ -2,8 +2,10 @@
 //
 // The paper notes (Section 1, "Main Techniques") that for k = 1 the moat
 // algorithm specializes to an MST of the terminal metric, and for the MST
-// problem proper (t = n, k = 1) it returns an exact MST. The benchmark
-// bench_mst_special verifies both against this implementation.
+// problem proper (t = n, k = 1) it returns an exact MST.
+// MoatGrowingTest.SteinerTreeSpecialCaseIsTerminalMst and
+// DetMoatTest.MstSpecialCase verify the t = n case against this
+// implementation.
 #pragma once
 
 #include <vector>

@@ -169,7 +169,7 @@ TEST(DetMoatTest, UnitWeightsWithTies) {
 
 TEST(DetMoatTest, RoundsScaleReasonably) {
   // Sanity guard on round complexity: O(k(s + D) + t) with moderate
-  // constants. (The benchmark suite measures the real scaling.)
+  // constants. The sweeps of DESIGN.md §6 rows E3/E4 assert the scaling.
   SplitMix64 rng(42);
   const Graph g = MakeConnectedRandom(30, 0.12, 1, 20, rng);
   const IcInstance ic = MakeIcInstance(30, {{0, 1}, {15, 1}, {7, 2}, {23, 2}});

@@ -2,6 +2,8 @@
 // cross-algorithm consistency on shared instances.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "dist/det_moat.hpp"
 #include "dist/randomized.hpp"
 #include "dist/transform.hpp"
@@ -9,6 +11,7 @@
 #include "graph/properties.hpp"
 #include "steiner/exact.hpp"
 #include "steiner/validate.hpp"
+#include "workload/samplers.hpp"
 
 namespace dsf {
 namespace {
@@ -65,6 +68,59 @@ TEST(EndToEndTest, DetNeverWorseThanTwiceRandomizedOrViceVersa) {
     const auto rnd = RunRandomizedSteinerForest(g, ic, {}, seed + 1);
     EXPECT_LE(g.WeightOf(det.forest), 2 * g.WeightOf(rnd.forest)) << seed;
   }
+}
+
+TEST(EndToEndTest, DetRoundsRiseWithKWhileRandStaysFlat) {
+  // Theorem 4.17 vs Theorem 5.2 as k grows on a fixed 96-node cycle. Each
+  // component's two terminals sit on its own arc, so components complete at
+  // separate radii and dist-det pays one O(s) merge phase each: the sk term
+  // makes its rounds rise strictly with k. dist-rand's O~(k + min{s,sqrt(n)}
+  // + D) is dominated by its D = 48 terms here and stays within 10%.
+  const int n = 96;
+  const Graph g = MakeCycle(n);
+  long prev_det = 0;
+  std::vector<long> rand_rounds;
+  for (int k = 1; k <= 8; ++k) {
+    std::vector<std::pair<NodeId, Label>> assign;
+    for (int c = 0; c < k; ++c) {
+      const int base = c * n / k;
+      const int span = std::max(2, n / (3 * k));
+      assign.push_back({base, c + 1});
+      assign.push_back({(base + span) % n, c + 1});
+    }
+    const IcInstance ic = MakeIcInstance(n, assign);
+    const long det = RunDistributedMoat(g, ic).stats.rounds;
+    EXPECT_GT(det, prev_det) << "k " << k;
+    prev_det = det;
+    rand_rounds.push_back(RunRandomizedSteinerForest(g, ic).stats.rounds);
+  }
+  const auto [lo, hi] =
+      std::minmax_element(rand_rounds.begin(), rand_rounds.end());
+  EXPECT_LE(10 * *hi, 11 * *lo);
+}
+
+TEST(EndToEndTest, RoundsGrowSlowerThanN) {
+  // Sparse random graphs at expected degree 6 with k = 4: as n grows 4x,
+  // s and D grow slowly, and neither protocol's round bound has a term
+  // linear in n, so both stay under 2x.
+  long det_rounds[2] = {0, 0};
+  long rand_rounds[2] = {0, 0};
+  const int sizes[2] = {32, 128};
+  for (int i = 0; i < 2; ++i) {
+    const int n = sizes[i];
+    SplitMix64 rng(static_cast<std::uint64_t>(n) * 31 + 7);
+    const Graph g = MakeConnectedRandom(n, 6.0 / n, 1, 32, rng);
+    const std::pair<std::string, std::string> params[] = {{"k", "4"},
+                                                          {"tpc", "2"}};
+    const IcInstance ic =
+        SampleInstance("random-ic", g, params,
+                       static_cast<std::uint64_t>(n) * 31 + 8)
+            .ic;
+    det_rounds[i] = RunDistributedMoat(g, ic).stats.rounds;
+    rand_rounds[i] = RunRandomizedSteinerForest(g, ic).stats.rounds;
+  }
+  EXPECT_LT(det_rounds[1], 2 * det_rounds[0]);
+  EXPECT_LT(rand_rounds[1], 2 * rand_rounds[0]);
 }
 
 TEST(EndToEndTest, AdjacentTerminals) {

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "congest/protocols.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
@@ -177,6 +179,55 @@ TEST(EmbeddingReferenceTest, AncestorsAreMaxRankInBall) {
           best.node)
           << "v=" << v << " level=" << i;
     }
+  }
+}
+
+TEST(EmbeddingReferenceTest, MeanStretchLogarithmic) {
+  // Section 5's substrate: the virtual tree's expected distortion is
+  // O(log n). Tree distance of u, v is 2 * sum_{i <= l} beta * 2^i, with l
+  // the first level where their ancestors agree. The mean stretch over node
+  // pairs, averaged over 8 seeds, stays within 2 log2 n on a sparse random
+  // graph and on a grid.
+  constexpr int kSeeds = 8;
+  SplitMix64 er_rng(48);
+  SplitMix64 grid_rng(1);
+  const Graph graphs[] = {MakeConnectedRandom(48, 8.0 / 48, 1, 32, er_rng),
+                          MakeGrid(8, 8, 1, 4, grid_rng)};
+  for (const Graph& g : graphs) {
+    const int n = g.NumNodes();
+    std::vector<std::vector<Weight>> dist;
+    for (NodeId v = 0; v < n; ++v) dist.push_back(Dijkstra(g, v).dist);
+    double mean_sum = 0.0;
+    for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+      const auto emb = ComputeEmbeddingReference(g, seed);
+      double stretch_sum = 0.0;
+      long pairs = 0;
+      for (NodeId u = 0; u < n; ++u) {
+        const auto& up = emb.ancestors[static_cast<std::size_t>(u)];
+        for (NodeId v = u + 1; v < n; ++v) {
+          const auto& vp = emb.ancestors[static_cast<std::size_t>(v)];
+          int level = 0;
+          while (level < emb.levels - 1 &&
+                 up[static_cast<std::size_t>(level)] !=
+                     vp[static_cast<std::size_t>(level)]) {
+            ++level;
+          }
+          Weight tree_dist = 0;
+          for (int i = 0; i <= level; ++i) {
+            tree_dist +=
+                2 * static_cast<Weight>((emb.beta_scaled << i) / kBetaScale);
+          }
+          stretch_sum += static_cast<double>(tree_dist) /
+                         static_cast<double>(
+                             dist[static_cast<std::size_t>(u)]
+                                 [static_cast<std::size_t>(v)]);
+          ++pairs;
+        }
+      }
+      mean_sum += stretch_sum / static_cast<double>(pairs);
+    }
+    EXPECT_LE(mean_sum / kSeeds, 2.0 * std::log2(static_cast<double>(n)))
+        << "n " << n;
   }
 }
 

@@ -4,8 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include "dist/det_moat.hpp"
+#include "dist/randomized.hpp"
 #include "graph/properties.hpp"
 #include "steiner/exact.hpp"
+#include "steiner/validate.hpp"
 
 namespace dsf {
 namespace {
@@ -126,6 +129,29 @@ TEST(PathGadgetTest, StructureMatchesLemma34) {
   EXPECT_EQ(gadget.ic.NumComponents(), 1);
   EXPECT_LE(params.unweighted_diameter, 8);
   EXPECT_GE(params.shortest_path_diameter, 64);
+}
+
+TEST(PathGadgetTest, TruncationKeepsRandRoundsFlatAsSGrows) {
+  // Lemma 3.4's regime (t = 2, k = 1, D = O(1), s = path length) with s
+  // growing 8x. s^2 > n truncates dist-rand's embedding at ~sqrt(n) hops
+  // (Theorem 5.2's min{s, sqrt(n)} term), so its simulated rounds barely
+  // move, while dist-det's O(sk + t) rounds (Theorem 4.17) follow s. Stage
+  // 2's charged m(s + D + 2) rounds (DESIGN.md §7) are reported apart and
+  // are not part of this budget.
+  long det_rounds[2] = {0, 0};
+  long rand_rounds[2] = {0, 0};
+  const int lengths[2] = {16, 128};
+  for (int i = 0; i < 2; ++i) {
+    const auto gadget = BuildPathGadget(lengths[i], 4);
+    const auto det = RunDistributedMoat(gadget.graph, gadget.ic);
+    const auto rnd = RunRandomizedSteinerForest(gadget.graph, gadget.ic);
+    EXPECT_TRUE(rnd.truncated) << "length " << lengths[i];
+    EXPECT_TRUE(IsFeasible(gadget.graph, gadget.ic, rnd.forest));
+    det_rounds[i] = det.stats.rounds;
+    rand_rounds[i] = rnd.stats.rounds;
+  }
+  EXPECT_LT(2 * rand_rounds[1], 3 * rand_rounds[0]);  // < 1.5x
+  EXPECT_GT(det_rounds[1], 3 * det_rounds[0]);        // > 3x
 }
 
 }  // namespace

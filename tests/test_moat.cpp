@@ -110,18 +110,6 @@ TEST(MoatBookTest, InactiveMoatReactivatesOnMerge) {
   EXPECT_EQ(book.RadOf(2), 2 * kFixedOne);
 }
 
-TEST(MoatBookTest, MinimalMergeSubsetDropsUselessMerges) {
-  // Labels: {0,1} component A at nodes 0,1; {2,3} component B at 2,3.
-  const std::vector<NodeId> terms{0, 1, 2, 3};
-  const std::vector<Label> labels{1, 1, 2, 2};
-  MoatBook book(terms, labels, MoatMode::kExact);
-  book.GrowAndMerge(0, 0, 1, 0);  // needed for A
-  book.GrowAndMerge(0, 2, 0, 0);  // merges B-side into A's moat (not needed)
-  book.GrowAndMerge(0, 2, 3, 0);  // needed for B
-  const auto subset = book.MinimalMergeSubset();
-  EXPECT_EQ(subset, (std::vector<int>{0, 2}));
-}
-
 // --- Centralized Algorithm 1 ---
 
 TEST(MoatGrowingTest, TwoTerminalsPickShortestPath) {

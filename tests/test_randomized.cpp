@@ -8,6 +8,7 @@
 #include "graph/properties.hpp"
 #include "steiner/exact.hpp"
 #include "steiner/validate.hpp"
+#include "workload/samplers.hpp"
 
 namespace dsf {
 namespace {
@@ -118,17 +119,6 @@ TEST(RandomizedTest, StageTwoOnHeavyPath) {
   EXPECT_EQ(g.WeightOf(res.forest), 9 * kMaxEdgeWeight);
 }
 
-TEST(RandomizedTest, ForcedTruncationAlsoFeasible) {
-  SplitMix64 rng(12);
-  const Graph g = MakeConnectedRandom(24, 0.15, 1, 12, rng);
-  const IcInstance ic = MakeIcInstance(24, {{0, 1}, {11, 1}, {6, 2}, {19, 2}});
-  RandomizedOptions opts;
-  opts.force_truncated = true;
-  const auto res = RunRandomizedSteinerForest(g, ic, opts, 9);
-  EXPECT_TRUE(res.truncated);
-  EXPECT_TRUE(IsFeasible(g, ic, res.forest));
-}
-
 TEST(RandomizedTest, EmptyInstance) {
   const Graph g = MakePath(5);
   const auto res = RunRandomizedSteinerForest(g, MakeIcInstance(5, {}));
@@ -167,6 +157,30 @@ TEST(KhanBaselineTest, FeasibleAndHeavierRounds) {
   // The baseline repeats the selection stage per label; with k = 3 labels it
   // should cost more rounds than the filtered single pass.
   EXPECT_GT(khan.stats.rounds, ours.stats.rounds);
+}
+
+TEST(KhanBaselineTest, RoundsGrowWithKWhileRandomizedStaysFlat) {
+  // Section 1's comparison on one n = 64 random graph as k goes 1 -> 8: the
+  // baseline runs one selection pass per component (O~(sk) rounds), so its
+  // rounds grow at least 5x, while Theorem 5.2's filtered single pass adds
+  // only O(k) pipelining and grows less than 2x.
+  SplitMix64 rng(4242);
+  const Graph g = MakeConnectedRandom(64, 0.07, 1, 24, rng);
+  long khan_rounds[2] = {0, 0};
+  long rand_rounds[2] = {0, 0};
+  const int ks[2] = {1, 8};
+  for (int i = 0; i < 2; ++i) {
+    const std::pair<std::string, std::string> params[] = {
+        {"k", std::to_string(ks[i])}, {"tpc", "2"}};
+    const IcInstance ic =
+        SampleInstance("random-ic", g, params,
+                       11 * static_cast<std::uint64_t>(ks[i]))
+            .ic;
+    khan_rounds[i] = RunKhanBaseline(g, ic).stats.rounds;
+    rand_rounds[i] = RunRandomizedSteinerForest(g, ic).stats.rounds;
+  }
+  EXPECT_GE(khan_rounds[1], 5 * khan_rounds[0]);
+  EXPECT_LT(rand_rounds[1], 2 * rand_rounds[0]);
 }
 
 TEST(KhanBaselineTest, SingleComponentComparable) {
