@@ -10,8 +10,9 @@
 //     graph (expected degree 6, k = 4: the n-sweep family of DESIGN.md §6
 //     row E4): end-to-end wall clock, where active-set scheduling
 //     additionally skips quiescent nodes.
-//   * GrantedKnowledge — ComputeParameters, the exact n, D, s, WD every
-//     cold dist-* run pays for before its first simulated round.
+//   * GrantedKnowledge — the two tiers of granted knowledge a cold dist-*
+//     run pays for before its first simulated round: connectivity and D
+//     (every protocol), and the full n, D, s, WD (dist-rand, dist-khan).
 //
 // Pre-refactor reference numbers (same machine, RelWithDebInfo — the
 // default build type — the seed simulator at commit 89e4cf6) are recorded
@@ -20,6 +21,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -216,10 +218,13 @@ BENCHMARK(BM_RandLargestN)
     ->Arg(2)
     ->Unit(benchmark::kMillisecond);
 
-// Granted static knowledge (footnote 2) on a fresh graph: ComputeParameters
-// itself, which CachedParameters runs once per graph. Rows 0-3 are the
-// perfbench cold-dist families at n = 240, row 4 the 64x64 grid of the
-// cold dist-det target.
+// Granted static knowledge (footnote 2) on a fresh graph, one tier per
+// second argument: 0 is ComputeHopParameters (connectivity and D, which
+// every protocol is granted), 1 is ComputeParameters (adds s and WD, which
+// only the randomized wrappers read). CachedHopParameters and
+// CachedParameters run them once per graph. First argument 0-3 are the
+// perfbench cold-dist families at n = 240, 4 the 64x64 grid of the cold
+// dist-det target.
 void BM_GrantedKnowledge(benchmark::State& state) {
   struct Family {
     const char* label;
@@ -236,19 +241,31 @@ void BM_GrantedKnowledge(benchmark::State& state) {
       {"grid 64x64", "grid", {{"rows", "64"}, {"cols", "64"}}},
   };
   const Family& f = kFamilies[state.range(0)];
+  const bool full = state.range(1) == 1;
   const Graph g = BuildGenerator(f.name, f.params, /*seed=*/1);
-  GraphParameters p;
-  for (auto _ : state) {
-    p = ComputeParameters(g);
-    benchmark::DoNotOptimize(p);
+  if (full) {
+    GraphParameters p;
+    for (auto _ : state) {
+      p = ComputeParameters(g);
+      benchmark::DoNotOptimize(p);
+    }
+    state.counters["D"] = p.unweighted_diameter;
+    state.counters["s"] = p.shortest_path_diameter;
+  } else {
+    HopParameters p;
+    for (auto _ : state) {
+      p = ComputeHopParameters(g);
+      benchmark::DoNotOptimize(p);
+    }
+    state.counters["D"] = p.unweighted_diameter;
   }
-  state.SetLabel(f.label);
+  state.SetLabel(std::string(f.label) + (full ? ", full tier" : ", hop tier"));
   state.counters["n"] = g.NumNodes();
   state.counters["m"] = g.NumEdges();
-  state.counters["D"] = p.unweighted_diameter;
-  state.counters["s"] = p.shortest_path_diameter;
 }
-BENCHMARK(BM_GrantedKnowledge)->DenseRange(0, 4)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GrantedKnowledge)
+    ->ArgsProduct({benchmark::CreateDenseRange(0, 4, /*step=*/1), {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace dsf

@@ -53,14 +53,14 @@ namespace dsf {
 
 class Network;
 
-// Globally known quantities every node may use. The paper grants n; s and D
-// bounds are justified by footnote 2 (they are computable in O(D + min{s,√n})
-// rounds, which is below all our algorithms' budgets).
+// Globally known quantities every node may use: n, and a D bound, which
+// footnote 2 of the paper justifies (computable in O(D) rounds, below all
+// our algorithms' budgets). Node programs read D for quiescence and
+// coordination timeouts. s and WD are not here: no node program reads
+// them; the randomized wrappers read them off the graph (dist/runtime.hpp).
 struct StaticKnowledge {
   int n = 0;
-  int diameter_bound = 0;        // D
-  int spd_bound = 0;             // s (shortest-path diameter)
-  Weight weighted_diameter_bound = 0;  // WD (randomized algorithm's levels)
+  int diameter_bound = 0;           // D
   std::int64_t bandwidth_bits = 0;  // per edge per round, O(log n)
 };
 

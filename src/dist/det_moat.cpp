@@ -340,7 +340,10 @@ DetMoatResult RunDistributedMoat(const Graph& g, const IcInstance& ic,
     return std::make_unique<DetMoatProgram>(v, ic.LabelOf(v),
                                             options.epsilon);
   });
-  const long s = known.spd_bound;
+  // A watchdog, not a schedule: the protocol never reads s, so the bound
+  // s <= n - 1 stands in for it. The limit grows with s, so it is never
+  // below the one the exact s would give.
+  const long s = g.NumNodes() - 1;
   const long d = known.diameter_bound;
   const long limit = 20000 + 40 * (d + 4) + 8 * (s + 4) * (t + 4) +
                      4 * t * t + 8 * (t + 2) * (s + d + 8);

@@ -10,6 +10,7 @@
 #include "congest/protocols.hpp"
 #include "dist/embedding.hpp"
 #include "dist/runtime.hpp"
+#include "graph/properties.hpp"
 #include "graph/shortest_paths.hpp"
 #include "graph/union_find.hpp"
 #include "steiner/moat.hpp"
@@ -25,11 +26,13 @@ constexpr std::int64_t kOpConnect = 31;        // {op, label, level}
 
 class RandProgram : public TreeProgramBase {
  public:
-  RandProgram(NodeId id, Label label, std::uint64_t embed_seed, int max_hops)
+  RandProgram(NodeId id, Label label, std::uint64_t embed_seed, int max_hops,
+              int levels)
       : TreeProgramBase(id),
         label_(label),
         embed_seed_(embed_seed),
-        max_hops_(max_hops) {}
+        max_hops_(max_hops),
+        levels_(levels) {}
 
   long le_rounds = 0;  // coordinator: rounds until the embedding quiesced
 
@@ -37,7 +40,6 @@ class RandProgram : public TreeProgramBase {
   void OnTreeReady(NodeApi& api) override {
     module_.Configure(Id(), embed_seed_, api.Degree(), max_hops_);
     anc_pipe_.Configure(kChExchange, static_cast<int>(ChildLocals().size()));
-    levels_ = NumLevels(api.Known().weighted_diameter_bound);
     beta_scaled_ = DeriveBetaScaled(embed_seed_);
     floor_ = api.Round();
   }
@@ -194,7 +196,7 @@ class RandProgram : public TreeProgramBase {
   Label label_;
   std::uint64_t embed_seed_;
   int max_hops_;
-  int levels_ = 2;
+  int levels_;
   std::int64_t beta_scaled_ = kBetaScale;
   long floor_ = 0;
   LeListModule module_;
@@ -229,14 +231,15 @@ struct RepOutcome {
 };
 
 // One full pipeline run: network stage 1, then the (possibly trivial)
-// substituted stage 2 and the centralized pruning.
+// substituted stage 2 and the centralized pruning. `s` and `levels`
+// (NumLevels of WD) come from the caller: nodes are granted only `known`.
 RepOutcome RunPipelineOnce(const Graph& g, const StaticKnowledge& known,
-                           const IcInstance& minimal, bool truncated,
+                           long s, int levels, const IcInstance& minimal,
+                           bool truncated,
                            const std::vector<EdgeId>& metered_cut,
                            const NetworkOptions& net_opts,
                            std::uint64_t rep_seed) {
   const long n = g.NumNodes();
-  const long s = known.spd_bound;
   const long d = known.diameter_bound;
   const long t = minimal.NumTerminals();
 
@@ -251,9 +254,8 @@ RepOutcome RunPipelineOnce(const Graph& g, const StaticKnowledge& known,
   if (!metered_cut.empty()) net.RegisterCut(metered_cut);
   net.Start([&](NodeId v) {
     return std::make_unique<RandProgram>(v, minimal.LabelOf(v), rep_seed,
-                                         max_hops);
+                                         max_hops, levels);
   });
-  const int levels = NumLevels(known.weighted_diameter_bound);
   const long limit = 40000 + 40 * (n + s + d + 16) + 4 * t * levels +
                      8 * (t + 2) * (s + d + 8);
   RepOutcome out;
@@ -372,15 +374,17 @@ RandomizedResult RunRandomizedSteinerForest(const Graph& g,
   RandomizedResult result;
   if (minimal.NumTerminals() == 0) return result;
 
-  const long s = known.spd_bound;
+  const GraphParameters& params = CachedParameters(g);
+  const long s = params.shortest_path_diameter;
+  const int levels = NumLevels(params.weighted_diameter);
   result.truncated = s * s > static_cast<long>(known.n);
 
   bool have_best = false;
   Weight best_weight = 0;
   for (int rep = 0; rep < options.repetitions; ++rep) {
     const auto out = RunPipelineOnce(
-        g, known, minimal, result.truncated, options.metered_cut, options.net,
-        DeriveSeed(seed, static_cast<std::uint64_t>(rep)));
+        g, known, s, levels, minimal, result.truncated, options.metered_cut,
+        options.net, DeriveSeed(seed, static_cast<std::uint64_t>(rep)));
     AccumulateStats(result.stats, out.stats);
     result.le_rounds += out.le_rounds;
     if (out.stats.cancelled) {
@@ -410,6 +414,9 @@ RandomizedResult RunKhanBaseline(const Graph& g, const IcInstance& ic,
   RandomizedResult result;
   if (minimal.NumTerminals() == 0) return result;
 
+  const GraphParameters& params = CachedParameters(g);
+  const long s = params.shortest_path_diameter;
+  const int levels = NumLevels(params.weighted_diameter);
   // One full (untruncated) selection pass per input component — the
   // per-component repetition the filtered single pass avoids.
   std::vector<EdgeId> combined;
@@ -423,8 +430,8 @@ RandomizedResult RunKhanBaseline(const Graph& g, const IcInstance& ic,
       }
     }
     const auto out =
-        RunPipelineOnce(g, known, sub, /*truncated=*/false, {}, net_opts,
-                        DeriveSeed(seed, 0x4a5 + i));
+        RunPipelineOnce(g, known, s, levels, sub, /*truncated=*/false, {},
+                        net_opts, DeriveSeed(seed, 0x4a5 + i));
     AccumulateStats(result.stats, out.stats);
     result.le_rounds += out.le_rounds;
     result.reduced_terminals += out.reduced_terminals;

@@ -1,8 +1,12 @@
 // Shared plumbing for the dist/ protocol wrappers: every Run* entry point
-// computes the globally known parameters (footnote 2 of the paper grants n,
-// D, s — and the randomized algorithm's level count needs a WD bound), and
-// rejects disconnected topologies, on which the BFS coordination tree (and
-// hence every protocol) cannot be built.
+// grants its nodes n and D (footnote 2 of the paper; the memoized hop tier
+// of graph/properties.hpp, no shortest paths), and rejects disconnected
+// topologies, on which the BFS coordination tree (and hence every protocol)
+// cannot be built. Only the randomized wrappers (dist-rand, dist-khan) also
+// read s and WD, from CachedParameters: s decides √n truncation and the
+// charged rounds m·(s + D + 2), WD the embedding's level count. dist-det
+// sizes its round watchdog with s ≤ n − 1, and the CR→IC transform and
+// instance minimization read only n and D.
 #pragma once
 
 #include <cstdint>
@@ -14,8 +18,8 @@
 
 namespace dsf::detail {
 
-// Computes {n, D, s, WD} for `g` and throws std::logic_error (via DSF_CHECK)
-// when g is disconnected.
+// Grants {n, D} for `g` and throws std::logic_error (via DSF_CHECK) when g
+// is disconnected.
 StaticKnowledge KnownOrThrow(const Graph& g);
 
 // The labels held by fewer than two terminals among convergecast

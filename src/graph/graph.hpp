@@ -18,6 +18,7 @@
 
 namespace dsf {
 
+struct HopParameters;    // graph/properties.hpp
 struct GraphParameters;  // graph/properties.hpp
 
 struct Edge {
@@ -130,10 +131,12 @@ class Graph {
   [[nodiscard]] std::string Summary() const;
 
  private:
-  // Memoization hook for CachedParameters (graph/properties.cpp): a
-  // finalized graph is immutable, so its derived parameters (D, WD, s) are
-  // computed once and shared by every run on the same topology. Copies of
-  // the graph share the cache.
+  // Memoization hooks for the two tiers of CachedHopParameters and
+  // CachedParameters (graph/properties.cpp): a finalized graph is
+  // immutable, so its derived parameters (connectivity and D; then s and
+  // WD) are computed once and shared by every run on the same topology.
+  // Copies of the graph share the caches.
+  friend const HopParameters& CachedHopParameters(const Graph& g);
   friend const GraphParameters& CachedParameters(const Graph& g);
 
   int n_ = 0;
@@ -143,6 +146,7 @@ class Graph {
   std::vector<std::int32_t> mirror_;  // parallel to adj_: reverse local index
   std::vector<std::uint32_t> slot_dir_;  // parallel to adj_: 2*edge + side
   bool finalized_ = false;
+  mutable std::shared_ptr<const HopParameters> hop_cache_;
   mutable std::shared_ptr<const GraphParameters> params_cache_;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -61,44 +62,61 @@ int HopDiameter(const Graph& g) {
   return diameter;
 }
 
+// Guards the install of every graph's memo slots (both tiers).
+std::mutex memo_mu;
+
+// Installs compute()'s result in a graph's memo slot once. Concurrent batch
+// solves share one Graph and may race to fill a cold slot (BatchEngine fans
+// requests across the round pool), so the install is serialized. The
+// computation runs outside the lock: a cold same-graph race wastes one
+// duplicate computation, but callers needing an unrelated (or warm) graph
+// never block behind it. Once installed the object is never replaced, so
+// the returned reference stays valid for the graph's lifetime.
+template <typename T, typename Compute>
+const T& InstallOnce(std::shared_ptr<const T>& slot, const Compute& compute) {
+  {
+    const std::lock_guard<std::mutex> lock(memo_mu);
+    if (slot != nullptr) return *slot;
+  }
+  auto computed = std::make_shared<const T>(compute());
+  const std::lock_guard<std::mutex> lock(memo_mu);
+  if (slot == nullptr) slot = std::move(computed);
+  return *slot;
+}
+
+GraphParameters WithPathDiameters(const Graph& g, const HopParameters& hop) {
+  const PathDiameters path = AllPairsPathDiameters(g);
+  GraphParameters p;
+  p.unweighted_diameter = hop.unweighted_diameter;
+  p.weighted_diameter = path.weighted;
+  p.shortest_path_diameter = path.hops;
+  p.connected = hop.connected;
+  return p;
+}
+
 }  // namespace
 
-GraphParameters ComputeParameters(const Graph& g) {
-  GraphParameters p;
+HopParameters ComputeHopParameters(const Graph& g) {
+  HopParameters p;
   p.connected = IsConnected(g);
   p.unweighted_diameter = HopDiameter(g);
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    const auto sp = Dijkstra(g, v);
-    for (NodeId u = 0; u < g.NumNodes(); ++u) {
-      const auto ui = static_cast<std::size_t>(u);
-      if (sp.Reachable(u)) {
-        p.weighted_diameter = std::max(p.weighted_diameter, sp.dist[ui]);
-        p.shortest_path_diameter =
-            std::max(p.shortest_path_diameter, sp.hops[ui]);
-      }
-    }
-  }
   return p;
+}
+
+GraphParameters ComputeParameters(const Graph& g) {
+  return WithPathDiameters(g, ComputeHopParameters(g));
+}
+
+const HopParameters& CachedHopParameters(const Graph& g) {
+  DSF_CHECK(g.Finalized());
+  return InstallOnce(g.hop_cache_, [&g] { return ComputeHopParameters(g); });
 }
 
 const GraphParameters& CachedParameters(const Graph& g) {
   DSF_CHECK(g.Finalized());
-  // Concurrent batch solves share one Graph and may race to fill a cold
-  // cache (BatchEngine fans requests across the round pool), so the lazy
-  // install is serialized. The expensive all-pairs computation runs outside
-  // the lock: a cold same-graph race wastes one duplicate computation, but
-  // callers needing an unrelated (or warm) graph never block behind it.
-  // Once installed the object is never replaced, so the returned reference
-  // stays valid for the graph's lifetime.
-  static std::mutex mu;
-  {
-    const std::lock_guard<std::mutex> lock(mu);
-    if (g.params_cache_ != nullptr) return *g.params_cache_;
-  }
-  auto computed = std::make_shared<const GraphParameters>(ComputeParameters(g));
-  const std::lock_guard<std::mutex> lock(mu);
-  if (g.params_cache_ == nullptr) g.params_cache_ = std::move(computed);
-  return *g.params_cache_;
+  return InstallOnce(g.params_cache_, [&g] {
+    return WithPathDiameters(g, CachedHopParameters(g));
+  });
 }
 
 bool IsConnected(const Graph& g) {

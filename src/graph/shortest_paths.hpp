@@ -10,7 +10,6 @@
 // relaxation order exactly.
 #pragma once
 
-#include <span>
 #include <vector>
 
 #include "common/cancel.hpp"
@@ -43,14 +42,16 @@ struct ShortestPathTree {
 ShortestPathTree Dijkstra(const Graph& g, NodeId source,
                           const CancelToken* cancel = nullptr);
 
-// Unweighted BFS from `source`: hop distances and parents.
-struct BfsTreeResult {
-  NodeId source = kNoNode;
-  std::vector<int> depth;     // -1 if unreachable
-  std::vector<NodeId> parent;
-  std::vector<EdgeId> parent_edge;
+// WD and s in one all-sources pass: the largest distance and the largest
+// hop count among Dijkstra's labels over every (source, reachable node)
+// pair. Same queue and the same (dist, hops) minimum as Dijkstra, without
+// trees: the (neighbor, weight) arcs are built once, one label buffer
+// serves every source, and both maxima are folded as nodes settle.
+struct PathDiameters {
+  Weight weighted = 0;  // WD
+  int hops = 0;         // s
 };
-BfsTreeResult Bfs(const Graph& g, NodeId source);
+PathDiameters AllPairsPathDiameters(const Graph& g);
 
 // Connected components of (V, E). Returns component index per node and count.
 struct Components {
@@ -58,8 +59,5 @@ struct Components {
   int count = 0;
 };
 Components ConnectedComponents(const Graph& g);
-
-// Connected components of the subgraph (V, subset).
-Components SubgraphComponents(const Graph& g, std::span<const EdgeId> subset);
 
 }  // namespace dsf

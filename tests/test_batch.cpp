@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/random.hpp"
 #include "graph/generators.hpp"
 
@@ -45,6 +47,8 @@ void ExpectSameResults(const std::vector<SolveResult>& a,
     EXPECT_EQ(a[i].stats.messages, b[i].stats.messages) << what << " i=" << i;
     EXPECT_EQ(a[i].stats.total_bits, b[i].stats.total_bits)
         << what << " i=" << i;
+    EXPECT_EQ(a[i].stats.charged_rounds, b[i].stats.charged_rounds)
+        << what << " i=" << i;
     EXPECT_EQ(a[i].dual_lower_bound, b[i].dual_lower_bound)
         << what << " i=" << i;
   }
@@ -70,6 +74,11 @@ TEST(BatchEngineTest, BitIdenticalAcrossThreadCounts) {
       ExpectSameResults(baseline, results, "threads");
     }
   }
+  // The randomized wrappers charge their substituted stages from s and D
+  // (m·(s + D + 2), s + D + 2), so the comparison covers nonzero charges.
+  EXPECT_TRUE(std::any_of(
+      baseline.begin(), baseline.end(),
+      [](const SolveResult& r) { return r.stats.charged_rounds > 0; }));
 }
 
 TEST(BatchEngineTest, MasterSeedMatchesDirectPipelineCalls) {

@@ -9,17 +9,16 @@
 #include "congest/protocols.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
-#include "graph/shortest_paths.hpp"
+#include "shortest_path_reference.hpp"
 
 namespace dsf {
 namespace {
 
 StaticKnowledge KnownFor(const Graph& g) {
-  const auto p = ComputeParameters(g);
+  const auto p = ComputeHopParameters(g);
   StaticKnowledge k;
   k.n = g.NumNodes();
   k.diameter_bound = p.unweighted_diameter;
-  k.spd_bound = p.shortest_path_diameter;
   return k;
 }
 

@@ -118,11 +118,10 @@ TEST(LeModuleTest, MatchesCentralizedReference) {
   for (std::uint64_t seed = 0; seed < 5; ++seed) {
     SplitMix64 rng(seed);
     const Graph g = MakeConnectedRandom(18, 0.2, 1, 12, rng);
-    const auto params = ComputeParameters(g);
+    const auto params = ComputeHopParameters(g);
     StaticKnowledge known;
     known.n = g.NumNodes();
     known.diameter_bound = params.unweighted_diameter;
-    known.spd_bound = params.shortest_path_diameter;
     Network net(g, known, seed);
     net.Start([&](NodeId v) {
       return std::make_unique<LeProbeProgram>(v, seed);

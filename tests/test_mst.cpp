@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
-#include "graph/shortest_paths.hpp"
+#include "shortest_path_reference.hpp"
 
 namespace dsf {
 namespace {

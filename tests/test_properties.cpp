@@ -47,6 +47,15 @@ void ExpectSameParameters(const GraphParameters& got,
   EXPECT_EQ(got.connected, want.connected) << label;
 }
 
+// Both tiers of `g` against the brute-force definition.
+void ExpectMatchesBruteForce(const Graph& g, const std::string& label) {
+  const GraphParameters want = BruteForceParameters(g);
+  ExpectSameParameters(ComputeParameters(g), want, label);
+  const HopParameters hop = ComputeHopParameters(g);
+  EXPECT_EQ(hop.unweighted_diameter, want.unweighted_diameter) << label;
+  EXPECT_EQ(hop.connected, want.connected) << label;
+}
+
 TEST(PropertiesTest, PathParameters) {
   const Graph g = MakePath(6, 2);
   const auto p = ComputeParameters(g);
@@ -125,7 +134,7 @@ TEST(PropertiesTest, SingleNode) {
 
 TEST(PropertiesTest, MatchesBruteForceOnEveryGeneratorFamily) {
   for (const auto& [label, g] : RegistryGraphs()) {
-    ExpectSameParameters(ComputeParameters(g), BruteForceParameters(g), label);
+    ExpectMatchesBruteForce(g, label);
   }
 }
 
@@ -143,8 +152,7 @@ TEST(PropertiesTest, MatchesBruteForceAtBatchEdges) {
       graphs.push_back(MakeConnectedRandom(n, 0.04, 1, 9, rng));
     }
     for (const Graph& g : graphs) {
-      ExpectSameParameters(ComputeParameters(g), BruteForceParameters(g),
-                           "n=" + std::to_string(n));
+      ExpectMatchesBruteForce(g, "n=" + std::to_string(n));
     }
   }
 }
@@ -163,13 +171,14 @@ TEST(PropertiesTest, MatchesBruteForceOnDisconnectedGraph) {
   const auto p = ComputeParameters(g);
   EXPECT_FALSE(p.connected);
   EXPECT_EQ(p.unweighted_diameter, 69);
-  ExpectSameParameters(p, BruteForceParameters(g), "disconnected");
+  ExpectMatchesBruteForce(g, "disconnected");
 }
 
 TEST(PropertiesTest, ConcurrentColdCallsShareOneExactMemo) {
-  // Four threads race the first CachedParameters call on one cold graph,
-  // then run Dijkstra on graphs of their own, each through its thread's own
-  // queue storage.
+  // Four threads race the first lookups of both memo tiers on one cold
+  // graph, even threads hop tier first and odd threads full tier first (so
+  // the full tier's install may race the hop tier's), then run Dijkstra on
+  // graphs of their own, each through its thread's own queue storage.
   constexpr int kThreads = 4;
   SplitMix64 rng(31);
   const Graph shared = MakeConnectedRandom(150, 0.04, 1, 20, rng);
@@ -184,6 +193,7 @@ TEST(PropertiesTest, ConcurrentColdCallsShareOneExactMemo) {
     }
   }
 
+  std::vector<const HopParameters*> hop(kThreads, nullptr);
   std::vector<const GraphParameters*> memo(kThreads, nullptr);
   std::vector<int> mismatches(kThreads, 0);
   std::atomic<int> arrived{0};
@@ -194,7 +204,13 @@ TEST(PropertiesTest, ConcurrentColdCallsShareOneExactMemo) {
       arrived.fetch_add(1);
       while (arrived.load() < kThreads) {
       }
-      memo[ti] = &CachedParameters(shared);
+      if (t % 2 == 0) {
+        hop[ti] = &CachedHopParameters(shared);
+        memo[ti] = &CachedParameters(shared);
+      } else {
+        memo[ti] = &CachedParameters(shared);
+        hop[ti] = &CachedHopParameters(shared);
+      }
       for (int rep = 0; rep < 3; ++rep) {
         for (NodeId s = 0; s < own[ti].NumNodes(); ++s) {
           if (!SameLabels(Dijkstra(own[ti], s),
@@ -209,9 +225,13 @@ TEST(PropertiesTest, ConcurrentColdCallsShareOneExactMemo) {
 
   for (int t = 0; t < kThreads; ++t) {
     const auto ti = static_cast<std::size_t>(t);
+    EXPECT_EQ(hop[ti], hop[0]) << "thread " << t;
     EXPECT_EQ(memo[ti], memo[0]) << "thread " << t;
     EXPECT_EQ(mismatches[ti], 0) << "thread " << t;
   }
+  // One D and one connectivity bit, whichever tier a caller asked first.
+  EXPECT_EQ(memo[0]->unweighted_diameter, hop[0]->unweighted_diameter);
+  EXPECT_EQ(memo[0]->connected, hop[0]->connected);
   ExpectSameParameters(*memo[0], want, "memo");
 }
 

@@ -90,11 +90,10 @@ TEST(CollectPipelineTest, GathersEveryNodeIdOverNetwork) {
   for (std::uint64_t seed = 0; seed < 4; ++seed) {
     SplitMix64 rng(seed);
     const Graph g = MakeConnectedRandom(17, 0.2, 1, 5, rng);
-    const auto params = ComputeParameters(g);
+    const auto params = ComputeHopParameters(g);
     StaticKnowledge known;
     known.n = g.NumNodes();
     known.diameter_bound = params.unweighted_diameter;
-    known.spd_bound = params.shortest_path_diameter;
     Network net(g, known, seed);
     net.Start([](NodeId v) { return std::make_unique<CollectAllProgram>(v); });
     const auto stats = net.Run(5000);
@@ -149,7 +148,6 @@ TEST(QuiescenceTest, RootLearnsLastActivity) {
   StaticKnowledge known;
   known.n = 9;
   known.diameter_bound = 8;
-  known.spd_bound = 8;
   Network net(g, known, 1);
   net.Start([](NodeId v) { return std::make_unique<BurstProgram>(v); });
   const auto stats = net.Run(5000);
@@ -169,7 +167,6 @@ TEST(TreeProgramTest, SingleNodeGraph) {
   StaticKnowledge known;
   known.n = 1;
   known.diameter_bound = 0;
-  known.spd_bound = 0;
   Network net(g, known, 1);
   net.Start([](NodeId v) { return std::make_unique<BfsProbeProgram>(v); });
   const auto stats = net.Run(100);
@@ -207,7 +204,6 @@ TEST(CtrlBroadcastTest, RootOnlyOrdering) {
   StaticKnowledge known;
   known.n = 1;
   known.diameter_bound = 0;
-  known.spd_bound = 0;
   Network net(g, known, 1);
   net.Start([](NodeId v) { return std::make_unique<SelfOrderProgram>(v); });
   const auto stats = net.Run(100);
@@ -245,7 +241,6 @@ TEST(QuiescenceTest, NoAppTrafficEver) {
   StaticKnowledge known;
   known.n = 7;
   known.diameter_bound = 6;
-  known.spd_bound = 6;
   Network net(g, known, 1);
   net.Start([](NodeId v) { return std::make_unique<SilentProgram>(v); });
   const auto stats = net.Run(500);
@@ -293,7 +288,6 @@ TEST(CollectPipelineTest, NoItemsEverSeeded) {
   StaticKnowledge known;
   known.n = 8;
   known.diameter_bound = 2;
-  known.spd_bound = 2;
   Network net(g, known, 1);
   net.Start([](NodeId v) { return std::make_unique<EmptyCollectProgram>(v); });
   const auto stats = net.Run(200);
@@ -327,7 +321,6 @@ TEST(CtrlBroadcastTest, OrderPreservedAndPipelined) {
   StaticKnowledge known;
   known.n = 12;
   known.diameter_bound = 11;
-  known.spd_bound = 11;
   Network net(g, known, 1);
   net.Start([](NodeId v) { return std::make_unique<OrderProgram>(v); });
   const auto stats = net.Run(5000);
