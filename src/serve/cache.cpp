@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <bit>
+#include <cstring>
 #include <utility>
 
+#include "common/check.hpp"
 #include "common/hash.hpp"
 
 namespace dsf {
@@ -202,7 +204,160 @@ CacheCounters LruCache<V>::Counters() const {
   return c;
 }
 
-template class LruCache<SolveResult>;
 template class LruCache<std::string>;
+
+namespace {
+
+// ResultCache's entry format. Every integer is a little-endian base-128
+// varint, signed ones zigzag-mapped first (reference_weight = -1 is one
+// byte); the forest is its length, then each id as the 32-bit wrapping gap
+// from the previous one (from 0), so a sorted forest costs about a byte per
+// edge and any other order still round-trips. The two doubles are their
+// 8-byte bit patterns, so they come back bit-exact.
+void PutVarint(std::string& out, std::uint64_t v) {
+  while (v >= 0x80) {
+    out.push_back(static_cast<char>(v | 0x80));
+    v >>= 7;
+  }
+  out.push_back(static_cast<char>(v));
+}
+
+void PutSigned(std::string& out, std::int64_t v) {
+  PutVarint(out, (static_cast<std::uint64_t>(v) << 1) ^
+                     static_cast<std::uint64_t>(v >> 63));
+}
+
+void PutDouble(std::string& out, double d) {
+  char bytes[sizeof(double)];
+  std::memcpy(bytes, &d, sizeof bytes);
+  out.append(bytes, sizeof bytes);
+}
+
+enum Flag : std::uint8_t {
+  kValidated = 1,
+  kFeasible = 2,
+  kCancelled = 4,
+  kHitRoundLimit = 8,
+  kStatsCancelled = 16,
+};
+
+std::string Encode(const SolveResult& r) {
+  // Built in a per-thread buffer that keeps its capacity (inserts come
+  // from the admission dispatcher), then copied once at its exact size.
+  thread_local std::string out;
+  out.clear();
+  PutVarint(out, r.solver.size());
+  out.append(r.solver);
+  PutVarint(out, r.forest.size());
+  std::uint32_t prev = 0;
+  for (const EdgeId id : r.forest) {
+    PutVarint(out, static_cast<std::uint32_t>(id) - prev);
+    prev = static_cast<std::uint32_t>(id);
+  }
+  for (const std::int64_t v :
+       {std::int64_t{r.weight}, std::int64_t{r.reference_weight},
+        std::int64_t{r.dual_lower_bound}, std::int64_t{r.phases},
+        std::int64_t{r.stats.rounds}, std::int64_t{r.stats.messages},
+        std::int64_t{r.stats.total_bits},
+        std::int64_t{r.stats.max_bits_per_edge_round},
+        std::int64_t{r.stats.cut_bits}, std::int64_t{r.stats.cut_messages},
+        std::int64_t{r.stats.charged_rounds}, std::int64_t{r.stats.phases},
+        std::int64_t{r.transform_rounds}, std::int64_t{r.transform_messages},
+        std::int64_t{r.transform_bits}}) {
+    PutSigned(out, v);
+  }
+  out.push_back(static_cast<char>(
+      (r.validated ? kValidated : 0) | (r.feasible ? kFeasible : 0) |
+      (r.cancelled ? kCancelled : 0) |
+      (r.stats.hit_round_limit ? kHitRoundLimit : 0) |
+      (r.stats.cancelled ? kStatsCancelled : 0)));
+  PutDouble(out, r.approx_ratio);
+  PutDouble(out, r.wall_ms);
+  return out;  // a copy: its capacity is exactly its size
+}
+
+// Reads Encode's output; the bytes never leave the process, so a short or
+// malformed entry is a bug, not input.
+class Reader {
+ public:
+  explicit Reader(std::string_view bytes) : bytes_(bytes) {}
+
+  std::uint64_t Varint() {
+    std::uint64_t v = 0;
+    for (int shift = 0;; shift += 7) {
+      DSF_CHECK_MSG(pos_ < bytes_.size() && shift < 64,
+                    "malformed result cache entry");
+      const auto byte = static_cast<std::uint8_t>(bytes_[pos_++]);
+      v |= static_cast<std::uint64_t>(byte & 0x7f) << shift;
+      if (byte < 0x80) return v;
+    }
+  }
+  std::int64_t Signed() {
+    const std::uint64_t z = Varint();
+    return static_cast<std::int64_t>(z >> 1) ^
+           -static_cast<std::int64_t>(z & 1);
+  }
+  double Double() {
+    double d = 0;
+    std::memcpy(&d, Take(sizeof d).data(), sizeof d);
+    return d;
+  }
+  std::string_view Take(std::size_t n) {
+    DSF_CHECK_MSG(n <= bytes_.size() - pos_, "truncated result cache entry");
+    const std::string_view out = bytes_.substr(pos_, n);
+    pos_ += n;
+    return out;
+  }
+  [[nodiscard]] bool Done() const { return pos_ == bytes_.size(); }
+
+ private:
+  std::string_view bytes_;
+  std::size_t pos_ = 0;
+};
+
+SolveResult Decode(std::string_view bytes) {
+  Reader in(bytes);
+  SolveResult r;
+  r.solver = std::string(in.Take(in.Varint()));
+  r.forest.resize(in.Varint());
+  std::uint32_t prev = 0;
+  for (EdgeId& id : r.forest) {
+    prev += static_cast<std::uint32_t>(in.Varint());
+    id = static_cast<EdgeId>(prev);
+  }
+  r.weight = in.Signed();
+  r.reference_weight = in.Signed();
+  r.dual_lower_bound = in.Signed();
+  r.phases = static_cast<int>(in.Signed());
+  for (long* field :
+       {&r.stats.rounds, &r.stats.messages, &r.stats.total_bits,
+        &r.stats.max_bits_per_edge_round, &r.stats.cut_bits,
+        &r.stats.cut_messages, &r.stats.charged_rounds, &r.stats.phases,
+        &r.transform_rounds, &r.transform_messages, &r.transform_bits}) {
+    *field = in.Signed();
+  }
+  const auto flags = static_cast<std::uint8_t>(in.Take(1)[0]);
+  r.validated = (flags & kValidated) != 0;
+  r.feasible = (flags & kFeasible) != 0;
+  r.cancelled = (flags & kCancelled) != 0;
+  r.stats.hit_round_limit = (flags & kHitRoundLimit) != 0;
+  r.stats.cancelled = (flags & kStatsCancelled) != 0;
+  r.approx_ratio = in.Double();
+  r.wall_ms = in.Double();
+  DSF_CHECK_MSG(in.Done(), "trailing bytes in result cache entry");
+  return r;
+}
+
+}  // namespace
+
+std::optional<SolveResult> ResultCache::Lookup(const CacheKey& key) {
+  const std::optional<std::string> bytes = entries_.Lookup(key);
+  if (!bytes) return std::nullopt;
+  return Decode(*bytes);
+}
+
+void ResultCache::Insert(const CacheKey& key, const SolveResult& value) {
+  entries_.Insert(key, Encode(value));
+}
 
 }  // namespace dsf

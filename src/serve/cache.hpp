@@ -10,13 +10,13 @@
 // over the canonical field order; a collision needs both 64-bit digests to
 // agree).
 //
-// `LruCache<V>` is the one LRU of both tiers: `ResultCache` maps keys to
-// finished `SolveResult`s in `dsf serve`, and the shard router's `HotCache`
-// (router.hpp) maps request keys to response lines. It is sharded by key
-// so concurrent connection handlers do not serialize on one mutex; each
-// shard keeps a std::list in recency order plus a std::unordered_map from
-// key to list node. Hit / miss / eviction / insert counters are
-// process-wide atomics surfaced through the `/stats` request.
+// `LruCache<V>` is the one LRU of both tiers: `ResultCache` keeps finished
+// `SolveResult`s in `dsf serve` as encoded byte strings, and the shard
+// router's `HotCache` (router.hpp) maps request keys to response lines. It
+// is sharded by key so concurrent connection handlers do not serialize on
+// one mutex; each shard keeps a std::list in recency order plus a
+// std::unordered_map from key to list node. Hit / miss / eviction / insert
+// counters are process-wide atomics surfaced through the `/stats` request.
 #pragma once
 
 #include <atomic>
@@ -132,11 +132,26 @@ class LruCache {
   std::atomic<std::uint64_t> entries_{0};
 };
 
-// Both instantiations live in cache.cpp.
-extern template class LruCache<SolveResult>;
+// The one instantiation lives in cache.cpp.
 extern template class LruCache<std::string>;
 
-// `dsf serve`'s result cache; ServeOptions::cache_shards sets its shards.
-using ResultCache = LruCache<SolveResult>;
+// `dsf serve`'s result cache (ServeOptions::cache_shards sets its shards):
+// an LruCache whose entries are SolveResults encoded as one exact-size byte
+// string each (varint fields, the sorted forest as varint gaps; cache.cpp).
+// A 450-edge churn result costs about a third of its in-memory form
+// (DESIGN.md §5). Lookup decodes its copy outside the shard lock;
+// counters, capacity and recency behave exactly as LruCache's.
+class ResultCache {
+ public:
+  explicit ResultCache(std::size_t capacity, int shards = 1)
+      : entries_(capacity, shards) {}
+
+  [[nodiscard]] std::optional<SolveResult> Lookup(const CacheKey& key);
+  void Insert(const CacheKey& key, const SolveResult& value);
+  [[nodiscard]] CacheCounters Counters() const { return entries_.Counters(); }
+
+ private:
+  LruCache<std::string> entries_;
+};
 
 }  // namespace dsf

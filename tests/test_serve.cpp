@@ -6,7 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <sstream>
@@ -204,6 +206,107 @@ TEST(ResultCacheTest, ShardedInsertLookupAcrossManyKeys) {
     ASSERT_TRUE(hit.has_value()) << i;
     EXPECT_EQ(hit->weight, static_cast<Weight>(i));
   }
+}
+
+// The cache stores each result as encoded bytes: every field must come back
+// exactly, the doubles bit for bit.
+void ExpectSameResult(const SolveResult& want, const SolveResult& got) {
+  EXPECT_EQ(got.solver, want.solver);
+  EXPECT_EQ(got.forest, want.forest);
+  EXPECT_EQ(got.weight, want.weight);
+  EXPECT_EQ(got.validated, want.validated);
+  EXPECT_EQ(got.feasible, want.feasible);
+  EXPECT_EQ(got.reference_weight, want.reference_weight);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.approx_ratio),
+            std::bit_cast<std::uint64_t>(want.approx_ratio));
+  EXPECT_EQ(got.dual_lower_bound, want.dual_lower_bound);
+  EXPECT_EQ(got.phases, want.phases);
+  EXPECT_EQ(got.stats.rounds, want.stats.rounds);
+  EXPECT_EQ(got.stats.messages, want.stats.messages);
+  EXPECT_EQ(got.stats.total_bits, want.stats.total_bits);
+  EXPECT_EQ(got.stats.max_bits_per_edge_round,
+            want.stats.max_bits_per_edge_round);
+  EXPECT_EQ(got.stats.cut_bits, want.stats.cut_bits);
+  EXPECT_EQ(got.stats.cut_messages, want.stats.cut_messages);
+  EXPECT_EQ(got.stats.charged_rounds, want.stats.charged_rounds);
+  EXPECT_EQ(got.stats.phases, want.stats.phases);
+  EXPECT_EQ(got.stats.hit_round_limit, want.stats.hit_round_limit);
+  EXPECT_EQ(got.stats.cancelled, want.stats.cancelled);
+  EXPECT_EQ(got.transform_rounds, want.transform_rounds);
+  EXPECT_EQ(got.transform_messages, want.transform_messages);
+  EXPECT_EQ(got.transform_bits, want.transform_bits);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.wall_ms),
+            std::bit_cast<std::uint64_t>(want.wall_ms));
+  EXPECT_EQ(got.cancelled, want.cancelled);
+}
+
+TEST(ResultCacheTest, EncodedEntriesRoundTripEveryField) {
+  std::vector<SolveResult> cases;
+
+  SolveResult full;
+  full.solver =
+      "portfolio(roster=gw-moat+mst-prune+greedy-merge+local-search,"
+      "mode=all,deadline_ms=50)";
+  // Gaps of 1, 127, 128 and 2^31-ish, ids up to INT32_MAX.
+  full.forest = {0,      1,      128,     256,       100'000,
+                 100'001, 2'000'000'000, INT32_MAX - 1, INT32_MAX};
+  full.weight = (Weight{1} << 40) + 7;
+  full.validated = true;
+  full.feasible = true;
+  full.reference_weight = (Weight{1} << 40) + 3;
+  full.approx_ratio = 1.0 / 3.0;
+  full.dual_lower_bound = -(Fixed{1} << 50) - 1;
+  full.phases = 17;
+  full.stats.rounds = 5'000'000'000L;
+  full.stats.messages = (1L << 40) + 1;
+  full.stats.total_bits = INT64_MAX;
+  full.stats.max_bits_per_edge_round = 64;
+  full.stats.cut_bits = (1L << 33) + 1;
+  full.stats.cut_messages = 1L << 32;
+  full.stats.charged_rounds = 4'294'967'297L;
+  full.stats.phases = 3;
+  full.stats.hit_round_limit = true;
+  full.stats.cancelled = true;
+  full.transform_rounds = 1L << 35;
+  full.transform_messages = INT64_MIN;
+  full.transform_bits = 1L << 62;
+  full.wall_ms = std::nextafter(12.5, 13.0);
+  full.cancelled = true;
+  cases.push_back(full);
+
+  // Defaults: empty forest, no reference (-1), every flag clear, -0.0 ms.
+  SolveResult empty;
+  empty.solver = "mst-prune";
+  empty.wall_ms = -0.0;
+  cases.push_back(empty);
+
+  // Each flag on its own, and a forest out of id order.
+  for (int flag = 0; flag < 5; ++flag) {
+    SolveResult r;
+    r.solver = "gw-moat";
+    r.forest = {9, 3, 3, 7};
+    r.validated = flag == 0;
+    r.feasible = flag == 1;
+    r.cancelled = flag == 2;
+    r.stats.hit_round_limit = flag == 3;
+    r.stats.cancelled = flag == 4;
+    cases.push_back(r);
+  }
+
+  ResultCache cache(cases.size(), 1);
+  for (std::uint64_t i = 0; i < cases.size(); ++i) {
+    cache.Insert(KeyOf(i), cases[i]);
+  }
+  for (std::uint64_t i = 0; i < cases.size(); ++i) {
+    SCOPED_TRACE(i);
+    const auto hit = cache.Lookup(KeyOf(i));
+    ASSERT_TRUE(hit.has_value());
+    ExpectSameResult(cases[i], *hit);
+  }
+  const CacheCounters c = cache.Counters();
+  EXPECT_EQ(c.hits, cases.size());
+  EXPECT_EQ(c.misses, 0u);
+  EXPECT_EQ(c.evictions, 0u);
 }
 
 // --- admission queue ---------------------------------------------------------
