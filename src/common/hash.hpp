@@ -11,9 +11,13 @@
 //     enough that sequential ids do not collide into the same buckets.
 //   * `Fnv1a`: streaming FNV-1a over bytes/words for variable-length
 //     structures (graphs, instances, option blocks). Callers that need a
-//     wider key hash twice with different offset bases (see serve/cache.*).
+//     wider key run two lanes with different offset bases over one stream
+//     (`FnvLanes<2>`, see serve/cache.*).
 #pragma once
 
+#include <array>
+#include <bit>
+#include <concepts>
 #include <cstddef>
 #include <cstdint>
 #include <string_view>
@@ -40,48 +44,105 @@ inline constexpr std::uint64_t kGoldenGamma = 0x9e3779b97f4a7c15ULL;
   return Mix64(seed ^ (Mix64(v) + kGoldenGamma + (seed << 6) + (seed >> 2)));
 }
 
-// Streaming 64-bit FNV-1a. Word updates hash the value's 8 little-endian
-// bytes, so digests are independent of host byte order semantics (we only
-// ever hash values, not memory images).
-class Fnv1a {
+namespace fnv_detail {
+
+inline constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+
+// kPow[k] = kPrime^k: k zero bytes advance a state s to s * kPrime^k,
+// since (s ^ 0) * kPrime = s * kPrime.
+inline constexpr std::array<std::uint64_t, 9> kPow = [] {
+  std::array<std::uint64_t, 9> pow{1};
+  for (std::size_t k = 1; k < pow.size(); ++k) pow[k] = pow[k - 1] * kPrime;
+  return pow;
+}();
+
+// Eight 0xff bytes advance s to s * kPrime^8 + kAllOnes[s & 0xff]: each
+// step adds a term that depends only on the state's low byte, and the low
+// byte of a product depends only on the factors' low bytes.
+inline constexpr std::array<std::uint64_t, 256> kAllOnes = [] {
+  std::array<std::uint64_t, 256> table{};
+  for (std::uint64_t low = 0; low < table.size(); ++low) {
+    std::uint64_t s = low;
+    for (int i = 0; i < 8; ++i) s = (s ^ 0xffU) * kPrime;
+    table[low] = s - low * kPow[8];
+  }
+  return table;
+}();
+
+}  // namespace fnv_detail
+
+// Streaming 64-bit FNV-1a over N lanes: N independent states (one per
+// offset basis) fed one byte stream in one pass, so their multiply chains
+// overlap. Word updates hash the value's 8 little-endian bytes, so digests
+// are independent of host byte order semantics (we only ever hash values,
+// not memory images).
+template <std::size_t N>
+class FnvLanes {
  public:
   static constexpr std::uint64_t kOffset = 0xcbf29ce484222325ULL;
-  static constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+  static constexpr std::uint64_t kPrime = fnv_detail::kPrime;
 
-  constexpr Fnv1a() noexcept = default;
-  constexpr explicit Fnv1a(std::uint64_t offset) noexcept : state_(offset) {}
+  // Every lane starts at the standard offset basis.
+  constexpr FnvLanes() noexcept { lanes_.fill(kOffset); }
+  template <std::convertible_to<std::uint64_t>... Offsets>
+    requires(sizeof...(Offsets) == N)
+  constexpr explicit FnvLanes(Offsets... offsets) noexcept
+      : lanes_{static_cast<std::uint64_t>(offsets)...} {}
 
-  constexpr Fnv1a& Byte(std::uint8_t b) noexcept {
-    state_ = (state_ ^ b) * kPrime;
+  constexpr FnvLanes& Byte(std::uint8_t b) noexcept {
+    for (std::uint64_t& s : lanes_) s = (s ^ b) * kPrime;
     return *this;
   }
 
-  constexpr Fnv1a& U64(std::uint64_t v) noexcept {
-    for (int i = 0; i < 8; ++i) Byte(static_cast<std::uint8_t>(v >> (8 * i)));
+  // Equal to Byte over v's 8 bytes, low first, with the bytes above v's
+  // highest set one folded into one multiply and the all-ones word (a
+  // hashed kNoLabel) into one multiply and a table lookup.
+  constexpr FnvLanes& U64(std::uint64_t v) noexcept {
+    if (v == ~std::uint64_t{0}) {
+      for (std::uint64_t& s : lanes_) {
+        s = s * fnv_detail::kPow[8] + fnv_detail::kAllOnes[s & 0xffU];
+      }
+      return *this;
+    }
+    const int bytes = (std::bit_width(v) + 7) / 8;
+    for (int i = 0; i < bytes; ++i) {
+      Byte(static_cast<std::uint8_t>(v >> (8 * i)));
+    }
+    for (std::uint64_t& s : lanes_) {
+      s *= fnv_detail::kPow[static_cast<std::size_t>(8 - bytes)];
+    }
     return *this;
   }
 
-  constexpr Fnv1a& I64(std::int64_t v) noexcept {
+  constexpr FnvLanes& I64(std::int64_t v) noexcept {
     return U64(static_cast<std::uint64_t>(v));
   }
 
-  constexpr Fnv1a& Bytes(std::string_view s) noexcept {
+  constexpr FnvLanes& Bytes(std::string_view s) noexcept {
     for (const char c : s) Byte(static_cast<std::uint8_t>(c));
     return *this;
   }
 
-  // Raw FNV state. Pass through Mix64 when the digest keys a power-of-two
-  // bucket table (FNV's low bits are its weakest).
-  [[nodiscard]] constexpr std::uint64_t Digest() const noexcept {
-    return state_;
+  // Raw FNV state of one lane. Pass through Mix64 when the digest keys a
+  // power-of-two bucket table (FNV's low bits are its weakest).
+  [[nodiscard]] constexpr std::uint64_t Digest(std::size_t lane = 0) const
+      noexcept {
+    return lanes_[lane];
   }
-  [[nodiscard]] constexpr std::uint64_t MixedDigest() const noexcept {
-    return Mix64(state_);
+  [[nodiscard]] constexpr std::uint64_t MixedDigest(std::size_t lane = 0) const
+      noexcept {
+    return Mix64(lanes_[lane]);
   }
 
  private:
-  std::uint64_t state_ = kOffset;
+  std::array<std::uint64_t, N> lanes_{};
 };
+
+using Fnv1a = FnvLanes<1>;
+
+// Offset basis of the second lane of a 128-bit key: any constant other
+// than Fnv1a::kOffset gives an independent digest over the same stream.
+inline constexpr std::uint64_t kFnvSecondOffset = 0x6c62272e07bb0142ULL;
 
 // Hash functor for unordered containers keyed by integral ids. libstdc++'s
 // std::hash<int> is the identity, which makes bucket occupancy mirror the

@@ -12,10 +12,6 @@ namespace dsf {
 
 namespace {
 
-// Second-stream offset basis: any constant != Fnv1a::kOffset yields an
-// independent digest over the same byte stream.
-constexpr std::uint64_t kSecondOffset = 0x6c62272e07bb0142ULL;
-
 // Field tags keep the byte stream prefix-free across variants: a CR request
 // and an IC request over coincidentally equal integer sequences must not
 // collide.
@@ -29,7 +25,7 @@ enum FieldTag : std::uint8_t {
   kTagSeed = 0x07,
 };
 
-void HashGraphInto(Fnv1a& h, const Graph& g) {
+void HashGraphInto(FnvLanes<2>& h, const Graph& g) {
   h.Byte(kTagGraph);
   h.I64(g.NumNodes());
   h.I64(g.NumEdges());
@@ -41,7 +37,8 @@ void HashGraphInto(Fnv1a& h, const Graph& g) {
   }
 }
 
-void HashUnitInto(Fnv1a& h, const SolveRequest& request, std::uint64_t seed) {
+void HashUnitInto(FnvLanes<2>& h, const SolveRequest& request,
+                  std::uint64_t seed) {
   if (request.use_cr) {
     h.Byte(kTagCr);
     h.I64(request.cr.NumNodes());
@@ -75,20 +72,16 @@ void HashUnitInto(Fnv1a& h, const SolveRequest& request, std::uint64_t seed) {
 }  // namespace
 
 CacheKey HashGraph(const Graph& g) {
-  Fnv1a a;
-  Fnv1a b(kSecondOffset);
-  HashGraphInto(a, g);
-  HashGraphInto(b, g);
-  return {a.MixedDigest(), b.Digest()};
+  FnvLanes<2> h(Fnv1a::kOffset, kFnvSecondOffset);
+  HashGraphInto(h, g);
+  return {h.MixedDigest(0), h.Digest(1)};
 }
 
 CacheKey CanonicalHash(const CacheKey& graph, const SolveRequest& request,
                        std::uint64_t seed) {
-  Fnv1a a(graph.lo);
-  Fnv1a b(graph.hi);
-  HashUnitInto(a, request, seed);
-  HashUnitInto(b, request, seed);
-  return {a.MixedDigest(), b.Digest()};
+  FnvLanes<2> h(graph.lo, graph.hi);
+  HashUnitInto(h, request, seed);
+  return {h.MixedDigest(0), h.Digest(1)};
 }
 
 std::string CacheKeyToHex(const CacheKey& key) {

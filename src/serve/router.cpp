@@ -13,10 +13,6 @@ namespace dsf {
 
 namespace {
 
-// Second FNV-1a offset basis (see serve/cache.cpp): two independent streams
-// over the same bytes make a 128-bit key.
-constexpr std::uint64_t kSecondOffset = 0x6c62272e07bb0142ULL;
-
 // Prefixes the (id-stripped, validated-object) response line with the
 // request's id, restoring the protocol's echo contract for cached and
 // forwarded replies alike.
@@ -219,11 +215,9 @@ std::string CanonicalRequestText(const JsonValue& request) {
 }
 
 CacheKey RouterRequestKey(std::string_view canonical_text) {
-  Fnv1a a;
-  Fnv1a b(kSecondOffset);
-  a.Bytes(canonical_text);
-  b.Bytes(canonical_text);
-  return {a.MixedDigest(), b.Digest()};
+  FnvLanes<2> h(Fnv1a::kOffset, kFnvSecondOffset);
+  h.Bytes(canonical_text);
+  return {h.MixedDigest(0), h.Digest(1)};
 }
 
 std::string RouteAffinityText(const JsonValue& request) {

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <queue>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -55,6 +56,37 @@ NodeId StoppedDijkstra(const Graph& g, NodeId source,
   return kNoNode;
 }
 
+// Terminals of `ic` grouped by component, in one pass over the nodes:
+// groups in increasing label order, each in increasing node order.
+struct TerminalGroups {
+  std::vector<NodeId> nodes;
+  std::vector<std::size_t> start;  // group i is nodes[start[i], start[i + 1])
+
+  [[nodiscard]] std::size_t Count() const { return start.size() - 1; }
+  [[nodiscard]] std::span<const NodeId> Group(std::size_t i) const {
+    return std::span<const NodeId>(nodes).subspan(start[i],
+                                                  start[i + 1] - start[i]);
+  }
+};
+
+TerminalGroups GroupTerminals(const IcInstance& ic) {
+  std::vector<std::pair<Label, NodeId>> terminals;
+  for (NodeId v = 0; v < ic.NumNodes(); ++v) {
+    if (ic.IsTerminal(v)) terminals.emplace_back(ic.LabelOf(v), v);
+  }
+  std::sort(terminals.begin(), terminals.end());
+  TerminalGroups groups;
+  groups.nodes.reserve(terminals.size());
+  for (std::size_t i = 0; i < terminals.size(); ++i) {
+    if (i == 0 || terminals[i].first != terminals[i - 1].first) {
+      groups.start.push_back(i);
+    }
+    groups.nodes.push_back(terminals[i].second);
+  }
+  groups.start.push_back(terminals.size());
+  return groups;
+}
+
 }  // namespace
 
 RepairOutcome RepairForest(const Graph& g, const IcInstance& revised,
@@ -85,12 +117,13 @@ RepairOutcome RepairForest(const Graph& g, const IcInstance& revised,
   IcInstance kept;
   kept.labels.assign(static_cast<std::size_t>(n), kNoLabel);
   Label next_synthetic = 0;
-  const std::vector<Label> components = revised.DistinctLabels();
-  for (const Label component : components) {
+  const TerminalGroups components = GroupTerminals(revised);
+  std::vector<std::pair<int, NodeId>> by_tree;  // (root, terminal)
+  for (std::size_t c = 0; c < components.Count(); ++c) {
     // Terminals of this component, grouped by their base-forest tree.
-    std::vector<std::pair<int, NodeId>> by_tree;  // (root, terminal)
-    for (NodeId v = 0; v < n; ++v) {
-      if (revised.LabelOf(v) == component) by_tree.emplace_back(base_uf.Find(v), v);
+    by_tree.clear();
+    for (const NodeId v : components.Group(c)) {
+      by_tree.emplace_back(base_uf.Find(v), v);
     }
     std::sort(by_tree.begin(), by_tree.end());
     for (std::size_t i = 0; i < by_tree.size();) {
@@ -124,11 +157,8 @@ RepairOutcome RepairForest(const Graph& g, const IcInstance& revised,
   }
   std::vector<char> target_root(static_cast<std::size_t>(n), 0);
   std::vector<EdgeId> parent_edge;
-  for (const Label component : components) {
-    std::vector<NodeId> terminals;
-    for (NodeId v = 0; v < n; ++v) {
-      if (revised.LabelOf(v) == component) terminals.push_back(v);
-    }
+  for (std::size_t c = 0; c < components.Count(); ++c) {
+    const std::span<const NodeId> terminals = components.Group(c);
     if (terminals.size() < 2) continue;
     // Attach the core (the tree of the smallest terminal) to the remaining
     // trees one path at a time; each path merges at least one tree in.

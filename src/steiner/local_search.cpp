@@ -102,7 +102,7 @@ long SplitWork(const Graph& g, const ForestAdj& adj,
 // sweep stops at the heaviest forest edge: a bound at or above w(e) rules
 // the swap out however large it is, so unset bounds stay kInfWeight.
 // Removing non-needed edges keeps both facts true (a smaller forest still
-// lies inside M); an accepted swap does not. The arrays and the edge sort
+// lies inside M); an accepted swap does not. The arrays and the edge order
 // are set up by the first Compute, so a call that never needs the facts
 // does not pay for them.
 class PassFacts {
@@ -165,13 +165,7 @@ class PassFacts {
   void Prepare(const Graph& g) {
     const auto m = static_cast<std::size_t>(g.NumEdges());
     const auto n = static_cast<std::size_t>(g.NumNodes());
-    by_weight_.resize(m);
-    std::iota(by_weight_.begin(), by_weight_.end(), 0);
-    std::sort(by_weight_.begin(), by_weight_.end(), [&](EdgeId a, EdgeId b) {
-      const Weight wa = g.GetEdge(a).w;
-      const Weight wb = g.GetEdge(b).w;
-      return wa != wb ? wa < wb : a < b;
-    });
+    by_weight_ = EdgesByWeight(g);
     needed_.resize(m);
     in_m_.resize(m);
     bound_.resize(m);

@@ -1,46 +1,56 @@
 #include "steiner/mst.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <numeric>
+#include <utility>
 
 #include "graph/union_find.hpp"
 
 namespace dsf {
 
+std::vector<EdgeId> EdgesByWeight(const Graph& g) {
+  const std::vector<Edge>& edges = g.Edges();
+  std::vector<EdgeId> order(edges.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::uint64_t max_w = 0;
+  for (const Edge& e : edges) {
+    max_w = std::max(max_w, static_cast<std::uint64_t>(e.w));
+  }
+  std::vector<EdgeId> next(edges.size());
+  for (int shift = 0; shift < 64 && (max_w >> shift) != 0; shift += 8) {
+    const auto digit = [&](EdgeId id) {
+      return static_cast<std::size_t>(
+          (static_cast<std::uint64_t>(edges[static_cast<std::size_t>(id)].w) >>
+           shift) &
+          0xFFu);
+    };
+    std::array<std::size_t, 256> start{};
+    for (const EdgeId id : order) ++start[digit(id)];
+    std::size_t sum = 0;
+    for (std::size_t& s : start) sum += std::exchange(s, sum);
+    for (const EdgeId id : order) next[start[digit(id)]++] = id;
+    order.swap(next);
+  }
+  return order;
+}
+
 std::vector<EdgeId> KruskalMst(const Graph& g, const CancelToken* cancel) {
-  // Heap-based Kruskal instead of a full sort: make_heap is O(m), and the
-  // pop loop stops as soon as the forest is complete (n-1 unions on a
-  // connected graph), so the common case never pays for ordering the heavy
-  // tail of the edge list. Pops come off the heap in exactly the (w, id)
-  // order the sorting implementation used, so the output — and every
-  // golden test pinned to it — is bit-identical.
-  std::vector<EdgeId> ids(static_cast<std::size_t>(g.NumEdges()));
-  std::iota(ids.begin(), ids.end(), 0);
-  // Max-heap under `cmp` => invert the (w, id) order so the cheapest edge
-  // surfaces first.
-  const auto cmp = [&](EdgeId a, EdgeId b) {
-    const Weight wa = g.GetEdge(a).w;
-    const Weight wb = g.GetEdge(b).w;
-    return wa != wb ? wa > wb : a > b;
-  };
-  std::make_heap(ids.begin(), ids.end(), cmp);
   UnionFind uf(g.NumNodes());
   std::vector<EdgeId> mst;
   const int full = g.NumNodes() - 1;  // forest size when g is connected
-  auto end = ids.end();
-  std::size_t pops = 0;
-  while (end != ids.begin()) {
-    // Cancellation checkpoint every 4096 pops: a portfolio loser stops
+  std::size_t scanned = 0;
+  for (const EdgeId id : EdgesByWeight(g)) {
+    // Cancellation checkpoint every 4096 edges: a portfolio loser stops
     // within a bounded slice of work (the partial forest is returned as-is
     // and reported cancelled by the caller).
-    if (cancel != nullptr && (++pops & 0xFFFu) == 0 && cancel->Expired()) {
+    if (cancel != nullptr && (++scanned & 0xFFFu) == 0 && cancel->Expired()) {
       break;
     }
-    std::pop_heap(ids.begin(), end, cmp);
-    --end;
-    const auto& e = g.GetEdge(*end);
+    const auto& e = g.GetEdge(id);
     if (uf.Union(e.u, e.v)) {
-      mst.push_back(*end);
+      mst.push_back(id);
       if (static_cast<int>(mst.size()) == full) break;
     }
   }

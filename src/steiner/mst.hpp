@@ -15,10 +15,15 @@
 
 namespace dsf {
 
+// Every edge id of g in (w, id) order: a stable LSD radix sort of the ids
+// on w, one byte per pass up to the top byte of the largest weight. The
+// ids start in id order, so stability breaks weight ties by id.
+std::vector<EdgeId> EdgesByWeight(const Graph& g);
+
 // Edge ids of a minimum spanning forest of g (deterministic tie-breaking by
-// edge id). Heap-based with early exit: stops after n-1 unions without
-// ordering the rest of the edge list. An expired `cancel` token stops the
-// pop loop within ~4096 edges and returns the partial forest.
+// edge id), in the order Kruskal accepts them. Scans EdgesByWeight with
+// early exit: stops after n-1 unions. An expired `cancel` token stops the
+// scan within ~4096 edges and returns the partial forest.
 std::vector<EdgeId> KruskalMst(const Graph& g,
                                const CancelToken* cancel = nullptr);
 

@@ -3,6 +3,10 @@
 //
 // Given a feasible forest F, the minimal feasible subset is unique: a tree
 // edge is kept iff some input component has terminals on both of its sides.
+// One DFS numbers F's nodes in preorder, so each subtree is an index
+// interval, and edge (v, parent) is kept iff some label below v has its
+// first or last preorder index outside v's interval: O(n + |F|) plus
+// sorting the terminals by label and the kept edges by id.
 #pragma once
 
 #include <span>

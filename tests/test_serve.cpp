@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -20,11 +21,13 @@
 #include <unistd.h>
 
 #include "cli/json.hpp"
+#include "common/hash.hpp"
 #include "common/random.hpp"
 #include "serve/admission.hpp"
 #include "serve/cache.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
+#include "serve/router.hpp"
 #include "serve/server.hpp"
 #include "serve/sockets.hpp"
 #include "solve/solver.hpp"
@@ -138,6 +141,154 @@ TEST(CanonicalHashTest, InputFormIsPartOfTheKey) {
   // pipelines (the CR form meters the distributed transform), so they must
   // not share a cache slot.
   EXPECT_NE(CanonicalHash(gh, ic, 7), CanonicalHash(gh, cr, 7));
+}
+
+// --- key pins ----------------------------------------------------------------
+
+// The 128-bit keys as defined: two plain FNV-1a lanes fed one byte per
+// multiply, each word as its 8 little-endian bytes. The library folds zero
+// high bytes and all-ones words; every digest must stay equal to this, so a
+// rolling restart never splits one unit across two keys.
+struct ByteKeyReference {
+  Fnv1a a, b;
+
+  void Byte(std::uint8_t x) {
+    a.Byte(x);
+    b.Byte(x);
+  }
+  void Word(std::int64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      Byte(static_cast<std::uint8_t>(static_cast<std::uint64_t>(v) >> (8 * i)));
+    }
+  }
+  [[nodiscard]] CacheKey Key() const { return {a.MixedDigest(), b.Digest()}; }
+};
+
+CacheKey ReferenceHashGraph(const Graph& g) {
+  ByteKeyReference h{Fnv1a(), Fnv1a(0x6c62272e07bb0142ULL)};
+  h.Byte(0x01);
+  h.Word(g.NumNodes());
+  h.Word(g.NumEdges());
+  for (const Edge& e : g.Edges()) {
+    h.Byte(0x02);
+    h.Word(e.u);
+    h.Word(e.v);
+    h.Word(e.w);
+  }
+  return h.Key();
+}
+
+CacheKey ReferenceCanonicalHash(const CacheKey& graph, const SolveRequest& r,
+                                std::uint64_t seed) {
+  ByteKeyReference h{Fnv1a(graph.lo), Fnv1a(graph.hi)};
+  if (r.use_cr) {
+    h.Byte(0x04);
+    h.Word(r.cr.NumNodes());
+    for (const auto& reqs : r.cr.requests) {
+      h.Word(static_cast<std::int64_t>(reqs.size()));
+      for (const NodeId w : reqs) h.Word(w);
+    }
+  } else {
+    h.Byte(0x03);
+    h.Word(r.ic.NumNodes());
+    for (const Label l : r.ic.labels) h.Word(l);
+  }
+  h.Byte(0x05);
+  for (const char c : r.solver) h.Byte(static_cast<std::uint8_t>(c));
+  h.Byte(0x06);
+  h.Word(std::bit_cast<std::int64_t>(static_cast<double>(r.options.epsilon)));
+  h.Word(r.options.repetitions);
+  h.Byte(r.options.prune ? 1 : 0);
+  h.Word(r.options.deadline_ms);
+  h.Byte(0x07);
+  h.Word(static_cast<std::int64_t>(seed));
+  return h.Key();
+}
+
+CacheKey ReferenceRouterKey(std::string_view text) {
+  ByteKeyReference h{Fnv1a(), Fnv1a(0x6c62272e07bb0142ULL)};
+  for (const char c : text) h.Byte(static_cast<std::uint8_t>(c));
+  return h.Key();
+}
+
+// Values at every byte width the fold distinguishes.
+constexpr std::int64_t kWidths[] = {1,        255,         256,
+                                    65535,    1LL << 24,   kMaxEdgeWeight,
+                                    1LL << 40};
+
+TEST(KeyPinTest, GraphKeysEqualTheByteAtATimeReference) {
+  // Node ids of 1, 2 and 3 bytes (up to 65536), every weight width.
+  Graph g(65537);
+  const NodeId ids[] = {0, 1, 255, 256, 65535, 65536};
+  std::size_t next = 0;
+  for (std::size_t i = 0; i < std::size(ids); ++i) {
+    for (std::size_t j = i + 1; j < std::size(ids); ++j) {
+      g.AddEdge(ids[i], ids[j], kWidths[next++ % std::size(kWidths)]);
+    }
+  }
+  g.Finalize();
+  EXPECT_EQ(HashGraph(g), ReferenceHashGraph(g));
+  const Graph small = TestGraph();
+  EXPECT_EQ(HashGraph(small), ReferenceHashGraph(small));
+  const Graph empty = MakeGraph(0, {});
+  EXPECT_EQ(HashGraph(empty), ReferenceHashGraph(empty));
+}
+
+TEST(KeyPinTest, UnitKeysEqualTheByteAtATimeReference) {
+  const Graph g = TestGraph();
+  const CacheKey gh = HashGraph(g);
+  SolveRequest ic = IcRequest(g);
+  ic.ic = MakeIcInstance(4, {{0, 0}, {1, std::numeric_limits<Label>::max()},
+                             {3, 0}});  // node 2 keeps kNoLabel
+  SolveRequest cr = IcRequest(g);
+  cr.use_cr = true;
+  cr.cr.requests.assign(4, {});
+  for (const std::int64_t v : kWidths) {
+    if (v <= std::numeric_limits<NodeId>::max()) {
+      cr.cr.requests[1].push_back(static_cast<NodeId>(v));
+    }
+  }
+  cr.cr.requests[3] = {0, std::numeric_limits<NodeId>::max()};
+  for (SolveRequest* unit : {&ic, &cr}) {
+    for (const std::int64_t v : kWidths) {
+      const auto seed = static_cast<std::uint64_t>(v);
+      EXPECT_EQ(CanonicalHash(gh, *unit, seed),
+                ReferenceCanonicalHash(gh, *unit, seed))
+          << unit->use_cr << " " << v;
+      SolveRequest knobs = *unit;
+      knobs.options.epsilon = 0.1L;
+      knobs.options.repetitions = static_cast<int>(v % 1000);
+      knobs.options.deadline_ms = static_cast<int>(v % 100000);
+      knobs.options.prune = v % 2 == 0;
+      EXPECT_EQ(CanonicalHash(gh, knobs, ~seed),
+                ReferenceCanonicalHash(gh, knobs, ~seed))
+          << unit->use_cr << " " << v;
+    }
+    EXPECT_EQ(CanonicalHash(gh, *unit, 0), ReferenceCanonicalHash(gh, *unit, 0));
+    EXPECT_EQ(CanonicalHash(gh, *unit, ~std::uint64_t{0}),
+              ReferenceCanonicalHash(gh, *unit, ~std::uint64_t{0}));
+  }
+}
+
+TEST(KeyPinTest, RouterKeysEqualTheByteAtATimeReference) {
+  std::string all_bytes;
+  for (int c = 0; c < 256; ++c) all_bytes.push_back(static_cast<char>(c));
+  for (const std::string_view text :
+       {std::string_view(), std::string_view("a"),
+        std::string_view(R"({"op":"solve","seed":1,"solvers":"gw-moat"})"),
+        std::string_view(all_bytes)}) {
+    EXPECT_EQ(RouterRequestKey(text), ReferenceRouterKey(text)) << text.size();
+  }
+}
+
+TEST(KeyPinTest, LiteralKeysFromBeforeTheFold) {
+  const Graph g = TestGraph();
+  EXPECT_EQ(CacheKeyToHex(CanonicalHash(HashGraph(g), IcRequest(g), 7)),
+            "d5f7260dd39a31ef8bb2978c756ef1c8");
+  EXPECT_EQ(
+      CacheKeyToHex(RouterRequestKey(
+          R"({"op":"solve","seed":1,"solvers":"gw-moat","spec":"grid 3 3\nrandom-ic k=1 tpc=2\n"})")),
+      "483f5abb6921e14e0145c334805373c3");
 }
 
 // --- result cache ------------------------------------------------------------
