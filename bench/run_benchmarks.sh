@@ -1,15 +1,13 @@
 #!/usr/bin/env sh
-# Records the performance trajectory: runs bench_simulator, the batch-
-# engine throughput sweep, the service-layer load generator, the shard
-# router, and the racing portfolio with JSON output so successive commits
-# can be compared.
+# Records the performance trajectory: runs bench_simulator, the
+# service-layer load generator, and the racing portfolio with JSON output
+# so successive commits can be compared.
 #
 #   bench/run_benchmarks.sh [build_dir] [out_dir]
 #
 # Defaults: build_dir = build, out_dir = build_dir. Writes
-# BENCH_simulator.json, BENCH_batch.json, BENCH_serve.json,
-# BENCH_router.json, and BENCH_portfolio.json into out_dir. Refuses to run
-# against a non-Release build.
+# BENCH_simulator.json, BENCH_serve.json, and BENCH_portfolio.json into
+# out_dir. Refuses to run against a non-Release build.
 #
 # Fails loudly: a missing binary, a crashing benchmark, or a run that
 # produces empty/truncated JSON all abort with a nonzero exit and a
@@ -31,7 +29,7 @@ if ! grep -q '^CMAKE_BUILD_TYPE:[^=]*=Release$' "$BUILD_DIR/CMakeCache.txt" 2>/d
   exit 1
 fi
 
-for bin in bench_simulator bench_batch_throughput bench_serve bench_router bench_portfolio; do
+for bin in bench_simulator bench_serve bench_portfolio; do
   if [ ! -x "$BUILD_DIR/$bin" ]; then
     echo "error: $BUILD_DIR/$bin not built (need Google Benchmark;" \
          "configure with e.g. cmake -B $BUILD_DIR -S . -DCMAKE_BUILD_TYPE=Release)" >&2
@@ -77,23 +75,14 @@ PYEOF
   fi
 }
 
-run_bench bench_simulator "$OUT_DIR/BENCH_simulator.json"
-
-# Batch-engine throughput at 1/4/8 executors: instances/sec and p95 latency
-# of the unified solver pipeline (DESIGN.md §3).
-run_bench bench_batch_throughput "$OUT_DIR/BENCH_batch.json"
+# Median of 5 repetitions per row: one run of a flood swings by ±20 %.
+run_bench bench_simulator "$OUT_DIR/BENCH_simulator.json" \
+  --benchmark_repetitions=5 --benchmark_report_aggregates_only=true
 
 # Service-layer load generation (closed-loop clients over sockets against
 # an in-process server): hit/miss latency separation and the >= 10x
 # cache-hit speedup acceptance ratio (DESIGN.md §5).
 run_bench bench_serve "$OUT_DIR/BENCH_serve.json"
-
-# Shard-router tier (closed-loop clients against a router fronting 1/2/4
-# backends, plus the kill-one-of-three failover series): throughput
-# scaling, failover latency tail, and the errors==0 robustness contract
-# (DESIGN.md §5).
-run_bench bench_router "$OUT_DIR/BENCH_router.json" \
-  --benchmark_filter='BM_Router.*'
 
 # Racing portfolio on the mixed two-class sweep: the mode=first p95 must
 # beat the best single solver's p95 by >= 1.3x at width 4, and mode=all
@@ -117,6 +106,5 @@ if ! "$BUILD_DIR/dsf" suite --check --out "$OUT_DIR/SUITE_fresh.json"; then
   exit 1
 fi
 
-echo "wrote $OUT_DIR/BENCH_simulator.json, $OUT_DIR/BENCH_batch.json," \
-     "$OUT_DIR/BENCH_serve.json, $OUT_DIR/BENCH_router.json," \
+echo "wrote $OUT_DIR/BENCH_simulator.json, $OUT_DIR/BENCH_serve.json," \
      "$OUT_DIR/BENCH_portfolio.json, and $OUT_DIR/SUITE_fresh.json"

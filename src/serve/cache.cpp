@@ -118,8 +118,7 @@ bool CacheKeyFromHex(std::string_view text, CacheKey* key) {
   return true;
 }
 
-template <class V>
-LruCache<V>::LruCache(std::size_t capacity, int shards) {
+LruCache::LruCache(std::size_t capacity, int shards) {
   const int clamped = std::clamp(shards, 1, 64);
   auto count = std::bit_ceil(static_cast<unsigned>(clamped));
   // Fewer entries than shards: shrink the shard table instead of rounding
@@ -138,9 +137,7 @@ LruCache<V>::LruCache(std::size_t capacity, int shards) {
   per_shard_capacity_ = capacity / count;
 }
 
-template <class V>
-typename LruCache<V>::Shard& LruCache<V>::ShardFor(
-    const CacheKey& key) noexcept {
+LruCache::Shard& LruCache::ShardFor(const CacheKey& key) noexcept {
   // hi is a raw FNV digest, whose low bits are its weakest (hash.hpp):
   // mix before masking into the power-of-two shard table. Buckets inside a
   // shard use lo (already mixed, see CacheKeyHash) — two independent words,
@@ -149,8 +146,7 @@ typename LruCache<V>::Shard& LruCache<V>::ShardFor(
                   (shards_.size() - 1)];
 }
 
-template <class V>
-std::optional<V> LruCache<V>::Lookup(const CacheKey& key) {
+std::optional<std::string> LruCache::Lookup(const CacheKey& key) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
   const auto it = shard.index.find(key);
@@ -163,8 +159,7 @@ std::optional<V> LruCache<V>::Lookup(const CacheKey& key) {
   return it->second->second;
 }
 
-template <class V>
-void LruCache<V>::Insert(const CacheKey& key, V value) {
+void LruCache::Insert(const CacheKey& key, std::string value) {
   if (per_shard_capacity_ == 0) return;
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mutex);
@@ -185,8 +180,7 @@ void LruCache<V>::Insert(const CacheKey& key, V value) {
   entries_.fetch_add(1, std::memory_order_relaxed);
 }
 
-template <class V>
-CacheCounters LruCache<V>::Counters() const {
+CacheCounters LruCache::Counters() const {
   CacheCounters c;
   c.hits = hits_.load(std::memory_order_relaxed);
   c.misses = misses_.load(std::memory_order_relaxed);
@@ -196,8 +190,6 @@ CacheCounters LruCache<V>::Counters() const {
   c.capacity = capacity_;
   return c;
 }
-
-template class LruCache<std::string>;
 
 namespace {
 

@@ -10,13 +10,14 @@
 // over the canonical field order; a collision needs both 64-bit digests to
 // agree).
 //
-// `LruCache<V>` is the one LRU of both tiers: `ResultCache` keeps finished
-// `SolveResult`s in `dsf serve` as encoded byte strings, and the shard
-// router's `HotCache` (router.hpp) maps request keys to response lines. It
-// is sharded by key so concurrent connection handlers do not serialize on
-// one mutex; each shard keeps a std::list in recency order plus a
-// std::unordered_map from key to list node. Hit / miss / eviction / insert
-// counters are process-wide atomics surfaced through the `/stats` request.
+// `LruCache` is the one LRU of both tiers, from keys to byte strings:
+// `ResultCache` keeps finished `SolveResult`s in `dsf serve` encoded as
+// bytes, and the shard router's `HotCache` (router.hpp) maps request keys
+// to response lines. It is sharded by key so concurrent connection handlers
+// do not serialize on one mutex; each shard keeps a std::list in recency
+// order plus a std::unordered_map from key to list node. Hit / miss /
+// eviction / insert counters are process-wide atomics surfaced through the
+// `/stats` request.
 #pragma once
 
 #include <atomic>
@@ -80,7 +81,6 @@ struct CacheCounters {
   std::uint64_t capacity = 0;  // configured total capacity
 };
 
-template <class V>
 class LruCache {
  public:
   // At most `capacity` resident entries total, spread over `shards`
@@ -95,7 +95,7 @@ class LruCache {
 
   // Copies the cached value out under the shard lock (callers own their
   // copy; no reference escapes the shard). Counts a hit or a miss.
-  [[nodiscard]] std::optional<V> Lookup(const CacheKey& key);
+  [[nodiscard]] std::optional<std::string> Lookup(const CacheKey& key);
 
   // Inserts `value` under `key`, evicting the shard's LRU tail when full.
   // Re-inserting an existing key refreshes recency only. The cache's
@@ -104,7 +104,7 @@ class LruCache {
   // mode=first portfolio results and warm-started revise results are
   // admitted too — they differ from a cold solve only within the
   // approximation guarantee, never in feasibility (DESIGN.md §5).
-  void Insert(const CacheKey& key, V value);
+  void Insert(const CacheKey& key, std::string value);
 
   [[nodiscard]] CacheCounters Counters() const;
 
@@ -113,9 +113,9 @@ class LruCache {
     std::mutex mutex;
     // Most-recently-used at the front; the list owns keys + values, the map
     // indexes into it.
-    std::list<std::pair<CacheKey, V>> lru;
+    std::list<std::pair<CacheKey, std::string>> lru;
     std::unordered_map<CacheKey,
-                       typename std::list<std::pair<CacheKey, V>>::iterator,
+                       std::list<std::pair<CacheKey, std::string>>::iterator,
                        CacheKeyHash>
         index;
   };
@@ -131,9 +131,6 @@ class LruCache {
   std::atomic<std::uint64_t> inserts_{0};
   std::atomic<std::uint64_t> entries_{0};
 };
-
-// The one instantiation lives in cache.cpp.
-extern template class LruCache<std::string>;
 
 // `dsf serve`'s result cache (ServeOptions::cache_shards sets its shards):
 // an LruCache whose entries are SolveResults encoded as one exact-size byte
@@ -151,7 +148,7 @@ class ResultCache {
   [[nodiscard]] CacheCounters Counters() const { return entries_.Counters(); }
 
  private:
-  LruCache<std::string> entries_;
+  LruCache entries_;
 };
 
 }  // namespace dsf

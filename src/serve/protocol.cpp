@@ -3,6 +3,7 @@
 #include <cerrno>
 #include <cstdlib>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -205,20 +206,80 @@ void WriteUnitResult(JsonWriter& json, const WorkloadCase& wc,
   json.EndObject();
 }
 
+// Rejects a case no protocol can run on at admission: the pipeline would
+// throw mid-batch and poison co-dispatched units.
+void RequireConnected(const WorkloadCase& wc) {
+  if (!IsConnected(wc.graph)) {
+    throw std::runtime_error("case '" + wc.name +
+                             "' is disconnected; no distributed protocol "
+                             "can run on it");
+  }
+}
+
+// Admits one request's cache-missing units as a single submission and
+// waits for every ticket before reacting to errors: queued units borrow
+// this handler's workload graphs, so returning early would free memory the
+// dispatcher is about to read. Unit j's result lands in results[slots[j]].
+// Returns the reply that replaces the response ("overloaded" when the
+// admission bound refused the submission, else the first unit error), or
+// std::nullopt when every unit solved.
+std::optional<std::string> SolveMisses(ServeContext& ctx,
+                                       const std::string& id,
+                                       std::span<const SolveRequest> units,
+                                       std::span<const CacheKey> keys,
+                                       std::span<const std::uint64_t> seeds,
+                                       std::span<const std::size_t> slots,
+                                       std::span<SolveResult> results,
+                                       std::uint64_t& coalesced) {
+  auto admission = ctx.queue->SubmitAll(units, keys, seeds);
+  if (admission.tickets.empty()) return OverloadedReply(ctx, id);
+  coalesced = admission.coalesced;
+  std::string error;
+  for (std::size_t j = 0; j < units.size(); ++j) {
+    const SolveResult& r = admission.tickets[j]->Wait();
+    if (error.empty() && !admission.tickets[j]->Error().empty()) {
+      error = admission.tickets[j]->Error();
+    }
+    results[slots[j]] = r;
+  }
+  if (!error.empty()) return ErrorReply(id, error);
+  return std::nullopt;
+}
+
+// Opens a solve or revise reply with the members both ops start with. The
+// op writes its own members next, then calls OpenResults.
+void BeginUnitsReply(JsonWriter& json, const std::string& id,
+                     std::uint64_t seed, std::size_t requests,
+                     std::size_t misses, std::uint64_t coalesced) {
+  BeginReply(json, id, true);
+  json.Key("seed");
+  json.UInt(seed);
+  json.Key("requests");
+  json.Int(static_cast<long long>(requests));
+  json.Key("hits");
+  json.Int(static_cast<long long>(requests - misses));
+  json.Key("misses");
+  json.Int(static_cast<long long>(misses));
+  json.Key("coalesced");
+  json.Int(static_cast<long long>(coalesced));
+}
+
+// Writes the handler's "wall_ms" (request parsed to units solved) and opens
+// the "results" array.
+void OpenResults(JsonWriter& json, std::chrono::steady_clock::time_point start,
+                 std::chrono::steady_clock::time_point stop) {
+  json.Key("wall_ms");
+  json.Double(std::chrono::duration<double, std::milli>(stop - start).count());
+  json.Key("results");
+  json.BeginArray();
+}
+
 std::string HandleSolve(ServeContext& ctx, const JsonValue& req,
                         const std::string& id) {
   const auto start = std::chrono::steady_clock::now();
   const SolvePlan plan = ParseSolve(ctx, req);
   const Workload workload = ExpandWorkload(plan.spec);
-  for (const WorkloadCase& wc : workload.cases) {
-    if (!IsConnected(wc.graph)) {
-      // The pipeline would throw mid-batch and poison co-dispatched units;
-      // reject at admission instead.
-      throw std::runtime_error("case '" + wc.name +
-                               "' is disconnected; no distributed protocol "
-                               "can run on it");
-    }
-  }
+  for (const WorkloadCase& wc : workload.cases) RequireConnected(wc);
   const RequestMatrix matrix =
       BuildRequests(workload, plan.solvers, plan.options);
   const std::size_t n = matrix.requests.size();
@@ -263,43 +324,17 @@ std::string HandleSolve(ServeContext& ctx, const JsonValue& req,
       miss_keys.push_back(keys[i]);
       miss_seeds.push_back(seeds[i]);
     }
-    auto admission = ctx.queue->SubmitAll(miss_units, miss_keys, miss_seeds);
-    if (admission.tickets.empty()) {
-      return OverloadedReply(ctx, id);
+    if (auto reply = SolveMisses(ctx, id, miss_units, miss_keys, miss_seeds,
+                                 miss_index, results, coalesced)) {
+      return std::move(*reply);
     }
-    coalesced = admission.coalesced;
-    // Wait for EVERY ticket before reacting to errors: queued units borrow
-    // this handler's workload graphs, so returning early would free memory
-    // the dispatcher is about to read.
-    std::string error;
-    for (std::size_t j = 0; j < miss_index.size(); ++j) {
-      const SolveResult& r = admission.tickets[j]->Wait();
-      if (error.empty() && !admission.tickets[j]->Error().empty()) {
-        error = admission.tickets[j]->Error();
-      }
-      results[miss_index[j]] = r;
-    }
-    if (!error.empty()) return ErrorReply(id, error);
   }
 
   const auto stop = std::chrono::steady_clock::now();
   std::ostringstream os;
   JsonWriter json(os);
-  BeginReply(json, id, true);
-  json.Key("seed");
-  json.UInt(plan.spec.seed);
-  json.Key("requests");
-  json.Int(static_cast<long long>(n));
-  json.Key("hits");
-  json.Int(static_cast<long long>(n - miss_index.size()));
-  json.Key("misses");
-  json.Int(static_cast<long long>(miss_index.size()));
-  json.Key("coalesced");
-  json.Int(static_cast<long long>(coalesced));
-  json.Key("wall_ms");
-  json.Double(std::chrono::duration<double, std::milli>(stop - start).count());
-  json.Key("results");
-  json.BeginArray();
+  BeginUnitsReply(json, id, plan.spec.seed, n, miss_index.size(), coalesced);
+  OpenResults(json, start, stop);
   for (std::size_t i = 0; i < n; ++i) {
     const WorkloadCase& wc =
         workload.cases[static_cast<std::size_t>(matrix.case_index[i])];
@@ -386,11 +421,7 @@ std::string HandleRevise(ServeContext& ctx, const JsonValue& req,
         "revise needs exactly one case x instance x solver");
   }
   const WorkloadCase& wc = workload.cases[0];
-  if (!IsConnected(wc.graph)) {
-    throw std::runtime_error("case '" + wc.name +
-                             "' is disconnected; no distributed protocol "
-                             "can run on it");
-  }
+  RequireConnected(wc);
   CacheKey base_key;
   if (!CacheKeyFromHex(req.GetString("base", ""), &base_key)) {
     throw std::runtime_error(
@@ -448,32 +479,18 @@ std::string HandleRevise(ServeContext& ctx, const JsonValue& req,
         cold_reason = "base key not cached";
       }
     }
-    auto admission = ctx.queue->SubmitAll({&revised, 1}, {&revised_key, 1},
-                                          {&seed, 1});
-    if (admission.tickets.empty()) {
-      return OverloadedReply(ctx, id);
-    }
-    coalesced = admission.coalesced;
-    result = admission.tickets[0]->Wait();
-    if (!admission.tickets[0]->Error().empty()) {
-      return ErrorReply(id, admission.tickets[0]->Error());
+    const std::size_t slot = 0;
+    if (auto reply = SolveMisses(ctx, id, {&revised, 1}, {&revised_key, 1},
+                                 {&seed, 1}, {&slot, 1}, {&result, 1},
+                                 coalesced)) {
+      return std::move(*reply);
     }
   }
 
   const auto stop = std::chrono::steady_clock::now();
   std::ostringstream os;
   JsonWriter json(os);
-  BeginReply(json, id, true);
-  json.Key("seed");
-  json.UInt(plan.spec.seed);
-  json.Key("requests");
-  json.Int(1);
-  json.Key("hits");
-  json.Int(cached ? 1 : 0);
-  json.Key("misses");
-  json.Int(cached ? 0 : 1);
-  json.Key("coalesced");
-  json.Int(static_cast<long long>(coalesced));
+  BeginUnitsReply(json, id, plan.spec.seed, 1, cached ? 0 : 1, coalesced);
   json.Key("warm");
   json.Bool(warm);
   json.Key("base_hit");
@@ -484,10 +501,7 @@ std::string HandleRevise(ServeContext& ctx, const JsonValue& req,
   }
   json.Key("key");
   json.String(CacheKeyToHex(revised_key));
-  json.Key("wall_ms");
-  json.Double(std::chrono::duration<double, std::milli>(stop - start).count());
-  json.Key("results");
-  json.BeginArray();
+  OpenResults(json, start, stop);
   WriteUnitResult(json, wc, wc.instances[0], result, cached, revised_key);
   json.EndArray();
   json.EndObject();

@@ -61,7 +61,8 @@
 // next revise in a churn chain, hits). A base-key miss, an oversized delta,
 // or a failed repair degrade to a cold solve with "warm":false; the
 // response is feasibility-validated either way, and a warm result is never
-// worse than its warm-start forest (solve/incremental.hpp).
+// worse than its warm-start forest (Solve()'s warm-start incumbent rule,
+// solve/solver.hpp; the repair is solve/incremental.hpp).
 //
 // The stats response exposes the cache counters, queue depths, and the
 // per-solver latency digest:

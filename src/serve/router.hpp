@@ -132,7 +132,7 @@ class HealthMachine {
 // hit skips the backend hop entirely; safe because responses are
 // deterministic functions of the id-stripped request. The router builds it
 // with one shard, so recency is global.
-using HotCache = LruCache<std::string>;
+using HotCache = LruCache;
 
 // --- canonical request keying ------------------------------------------------
 

@@ -210,8 +210,7 @@ RepairOutcome RepairForest(const Graph& g, const IcInstance& revised,
 
 WarmStartPlan PrepareWarmStart(const SolveRequest& base,
                                std::span<const EdgeId> base_forest,
-                               const InstanceDelta& delta,
-                               double max_delta_fraction) {
+                               const InstanceDelta& delta) {
   WarmStartPlan plan;
   plan.revised = base;
   plan.revised.options.warm_start.clear();
@@ -233,7 +232,7 @@ WarmStartPlan PrepareWarmStart(const SolveRequest& base,
   const int demands =
       base.use_cr ? base.cr.NumRequests() / 2 : base.ic.NumTerminals();
   const double limit =
-      std::max(1.0, max_delta_fraction * static_cast<double>(demands));
+      std::max(1.0, kMaxDeltaFraction * static_cast<double>(demands));
   if (static_cast<double>(delta.Size()) > limit) {
     plan.cold_reason = "delta too large (" + std::to_string(delta.Size()) +
                        " edits vs " + std::to_string(demands) + " demands)";
@@ -267,30 +266,6 @@ WarmStartPlan PrepareWarmStart(const SolveRequest& base,
   std::sort(focus.begin(), focus.end());
   focus.erase(std::unique(focus.begin(), focus.end()), focus.end());
   return plan;
-}
-
-IncrementalOutcome IncrementalSolve(const SolveRequest& base,
-                                    std::span<const EdgeId> base_forest,
-                                    const InstanceDelta& delta,
-                                    double max_delta_fraction) {
-  WarmStartPlan plan =
-      PrepareWarmStart(base, base_forest, delta, max_delta_fraction);
-  IncrementalOutcome out;
-  out.warm = plan.warm;
-  out.warm_weight = plan.warm_weight;
-  out.cold_reason = plan.cold_reason;
-  out.result = Solve(plan.revised);
-  if (plan.warm &&
-      (!out.result.feasible || out.result.weight > plan.warm_weight)) {
-    // Contractual backstop: the warm start is itself a validated feasible
-    // forest, so "never worse than the warm start" can always be honoured.
-    out.result.forest = plan.revised.options.warm_start;
-    std::sort(out.result.forest.begin(), out.result.forest.end());
-    out.result.weight = plan.warm_weight;
-    out.result.validated = true;
-    out.result.feasible = true;
-  }
-  return out;
 }
 
 }  // namespace dsf

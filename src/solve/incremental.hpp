@@ -17,11 +17,14 @@
 //      under a union-find cycle guard until the component is connected.
 //
 // The repaired forest is validated (`IsForest` + `IsFeasible`) and handed to
-// the pipeline as `SolveOptions::warm_start` for a `local-search` run, whose
-// incumbent discipline guarantees the result is never worse than the warm
-// start. The fallback ladder: delta too large -> cold; solver not
-// warm-startable -> cold; repair fails validation -> cold. Cold means a
-// plain `Solve()` of the revised request — always available, never wrong.
+// the pipeline as `SolveOptions::warm_start` for a `local-search` run. The
+// result is never worse than the warm start: local search keeps its
+// incumbent, and `Solve()` itself returns the warm start should a result be
+// infeasible or heavier (solve/solver.hpp). A revise has one path:
+// `PrepareWarmStart`, then admission, then `Solve()`. The fallback ladder:
+// delta too large -> cold; solver not warm-startable -> cold; repair fails
+// validation -> cold. Cold means a plain `Solve()` of the revised request —
+// always available, never wrong.
 #pragma once
 
 #include <span>
@@ -35,7 +38,7 @@ namespace dsf {
 // Warm-path eligibility: deltas larger than this fraction of the base
 // demand count (pairs for CR, terminals for IC) take the cold path — repair
 // plus local search on a mostly-new instance costs more than a fresh solve.
-inline constexpr double kDefaultMaxDeltaFraction = 0.25;
+inline constexpr double kMaxDeltaFraction = 0.25;
 
 struct RepairOutcome {
   std::vector<EdgeId> forest;  // sorted; meaningful only when ok
@@ -56,10 +59,10 @@ struct RepairOutcome {
 RepairOutcome RepairForest(const Graph& g, const IcInstance& revised,
                            std::span<const EdgeId> base_forest);
 
-// The revised request plus the warm-start decision, shared by the one-shot
-// `IncrementalSolve` below and the serve tier's `revise` handler (which
-// submits `revised` through admission instead of calling Solve directly, so
-// coalescing/caching treat revise units like solve units).
+// The revised request plus the warm-start decision. The serve tier's
+// `revise` handler submits `revised` through admission, so coalescing and
+// caching treat revise units like solve units; a caller in one process
+// passes it to `Solve()` directly.
 struct WarmStartPlan {
   SolveRequest revised;     // delta applied; options.warm_start set when warm
   bool warm = false;        // warm path taken
@@ -72,23 +75,6 @@ struct WarmStartPlan {
 // other failure degrades to a cold plan with `cold_reason` set.
 WarmStartPlan PrepareWarmStart(const SolveRequest& base,
                                std::span<const EdgeId> base_forest,
-                               const InstanceDelta& delta,
-                               double max_delta_fraction = kDefaultMaxDeltaFraction);
-
-struct IncrementalOutcome {
-  SolveResult result;
-  bool warm = false;
-  Weight warm_weight = 0;   // weight of the warm-start forest (warm only)
-  std::string cold_reason;  // "" when warm
-};
-
-// One-shot entry: PrepareWarmStart + Solve. When warm, the result is
-// guaranteed never worse than the repaired warm start (the warm start
-// itself is substituted in the — structurally impossible, but contractual —
-// case the solver returns something worse).
-IncrementalOutcome IncrementalSolve(const SolveRequest& base,
-                                    std::span<const EdgeId> base_forest,
-                                    const InstanceDelta& delta,
-                                    double max_delta_fraction = kDefaultMaxDeltaFraction);
+                               const InstanceDelta& delta);
 
 }  // namespace dsf

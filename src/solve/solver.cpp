@@ -419,6 +419,36 @@ std::vector<std::string_view> SolverRegistry::Names() {
 
 namespace {
 
+// The incumbent rule of a warm start (the local-search moves of Groß et
+// al., arXiv:1707.02753): a caller-supplied forest is an answer already in
+// hand, so a result that is infeasible or heavier than it gives way to it.
+// The warm start is checked before it is substituted — ids in range, a
+// forest, feasible for `ic` (and for the CR pairs) — and the core's result
+// stands when any check fails. Every warm solve pays only the range check
+// and the weight sum; the forest and feasibility checks run only when the
+// warm start would replace the result. `feasible` is false unless the
+// result was validated, so an unvalidated result gives way to a warm start
+// that passes them.
+void KeepWarmStartIncumbent(const Graph& g, const SolveRequest& request,
+                            const IcInstance& ic,
+                            std::span<const EdgeId> warm,
+                            SolveResult& result) {
+  for (const EdgeId e : warm) {
+    if (e < 0 || e >= g.NumEdges()) return;
+  }
+  const Weight warm_weight = g.WeightOf(warm);
+  if (result.feasible && result.weight <= warm_weight) return;
+  if (!g.IsForest(warm) || !IsFeasible(g, ic, warm) ||
+      (request.use_cr && !IsFeasibleCr(g, request.cr, warm))) {
+    return;
+  }
+  result.forest.assign(warm.begin(), warm.end());
+  std::sort(result.forest.begin(), result.forest.end());
+  result.weight = warm_weight;
+  result.validated = true;
+  result.feasible = true;
+}
+
 // `options` is by value: it is a handful of scalars, and the batch entry
 // point patches the scheduler field without touching the caller's request.
 SolveResult SolveImpl(const SolveRequest& request, std::uint64_t seed,
@@ -499,6 +529,9 @@ SolveResult SolveImpl(const SolveRequest& request, std::uint64_t seed,
     result.feasible = IsFeasible(g, ic, result.forest) &&
                       (!request.use_cr ||
                        IsFeasibleCr(g, request.cr, result.forest));
+  }
+  if (!options.warm_start.empty()) {
+    KeepWarmStartIncumbent(g, request, ic, options.warm_start, result);
   }
   if (options.compute_reference) {
     // The exact core already produced the optimum; don't run the DP twice.

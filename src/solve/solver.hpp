@@ -17,8 +17,9 @@
 // A `SolveRequest` flows through the shared pipeline (`Solve`): the
 // distributed CR→IC transform when the input is given as connection
 // requests (Lemma 2.3), `MakeMinimal` (Lemma 2.4), the solver core, optional
-// minimal-subforest pruning, `IsFeasible` validation, and cost / round /
-// message accounting — yielding a uniform `SolveResult`. The per-request
+// minimal-subforest pruning, `IsFeasible` validation, the warm-start
+// incumbent rule, and cost / round / message accounting — yielding a
+// uniform `SolveResult`. The per-request
 // plumbing previously hand-rolled by every example, bench, and test lives
 // here exactly once (DESIGN.md §3).
 #pragma once
@@ -70,9 +71,11 @@ struct SolveOptions {
   // roster means the default (kDefaultPortfolioRoster).
   std::vector<std::string> roster;
   bool race_first = false;  // mode=first: cancel losers at first feasible
-  // Warm start for local-search: a feasible forest to refine instead of
+  // Warm start: a feasible forest for local-search to refine instead of
   // building the Kruskal-prune seed (the incremental/online hook). Empty =
-  // cold start.
+  // cold start. For every solver it is also the incumbent: when the result
+  // is infeasible or heavier than a warm start that checks out as a
+  // feasible forest, the pipeline returns the warm start instead.
   std::vector<EdgeId> warm_start;
   // Refinement focus for a warm-started local-search: restrict improvement
   // attempts to forest edges near one of these nodes (see

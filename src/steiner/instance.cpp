@@ -139,21 +139,4 @@ IcInstance MakeMinimal(const IcInstance& ic) {
   return out;
 }
 
-bool EquivalentInstances(const IcInstance& a, const IcInstance& b) {
-  if (a.NumNodes() != b.NumNodes()) return false;
-  const IcInstance ma = MakeMinimal(a);
-  const IcInstance mb = MakeMinimal(b);
-  // Group terminals by label; the grouping (as a set partition) must match.
-  const auto group = [](const IcInstance& ic) {
-    std::map<Label, std::vector<NodeId>> g;
-    for (NodeId v = 0; v < ic.NumNodes(); ++v) {
-      if (ic.IsTerminal(v)) g[ic.LabelOf(v)].push_back(v);
-    }
-    std::set<std::vector<NodeId>> parts;
-    for (auto& [l, nodes] : g) parts.insert(nodes);
-    return parts;
-  };
-  return group(ma) == group(mb);
-}
-
 }  // namespace dsf

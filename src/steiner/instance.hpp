@@ -72,9 +72,4 @@ IcInstance CrToIc(const CrInstance& cr);
 // Lemma 2.4 (centralized reference): drops labels with a single terminal.
 IcInstance MakeMinimal(const IcInstance& ic);
 
-// True iff the two instances admit exactly the same feasible edge sets.
-// (Checked structurally: same grouping of terminals into components after
-// dropping singletons.)
-bool EquivalentInstances(const IcInstance& a, const IcInstance& b);
-
 }  // namespace dsf

@@ -65,31 +65,4 @@ std::vector<MetricSpannerEdge> GreedyMetricSpanner(
   return result;
 }
 
-double SpannerStretch(const std::vector<std::vector<Weight>>& dist,
-                      const std::vector<MetricSpannerEdge>& spanner) {
-  const int m = static_cast<int>(dist.size());
-  if (m <= 1) return 1.0;
-  std::vector<std::vector<std::pair<int, Weight>>> adj(
-      static_cast<std::size_t>(m));
-  for (const auto& e : spanner) {
-    adj[static_cast<std::size_t>(e.a)].push_back({e.b, e.w});
-    adj[static_cast<std::size_t>(e.b)].push_back({e.a, e.w});
-  }
-  double stretch = 1.0;
-  for (int a = 0; a < m; ++a) {
-    const auto d = SpannerDistances(m, adj, a);
-    for (int b = 0; b < m; ++b) {
-      const Weight metric =
-          dist[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)];
-      if (a == b || metric >= kInfWeight || metric == 0) continue;
-      DSF_CHECK_MSG(d[static_cast<std::size_t>(b)] < kInfWeight,
-                    "spanner disconnected a finite-distance pair");
-      stretch = std::max(
-          stretch, static_cast<double>(d[static_cast<std::size_t>(b)]) /
-                       static_cast<double>(metric));
-    }
-  }
-  return stretch;
-}
-
 }  // namespace dsf

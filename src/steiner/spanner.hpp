@@ -26,9 +26,4 @@ struct MetricSpannerEdge {
 std::vector<MetricSpannerEdge> GreedyMetricSpanner(
     const std::vector<std::vector<Weight>>& dist, int stretch_k);
 
-// Stretch of the spanner w.r.t. the metric: max over pairs of
-// (spanner distance) / (metric distance). Returns 1.0 for m <= 1.
-double SpannerStretch(const std::vector<std::vector<Weight>>& dist,
-                      const std::vector<MetricSpannerEdge>& spanner);
-
 }  // namespace dsf

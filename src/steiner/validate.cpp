@@ -55,16 +55,4 @@ bool IsFeasibleCr(const Graph& g, const CrInstance& cr,
   return true;
 }
 
-bool IsMinimalFeasible(const Graph& g, const IcInstance& ic,
-                       std::span<const EdgeId> f) {
-  if (!IsFeasible(g, ic, f)) return false;
-  std::vector<EdgeId> reduced(f.begin(), f.end());
-  for (std::size_t i = 0; i < reduced.size(); ++i) {
-    std::vector<EdgeId> without = reduced;
-    without.erase(without.begin() + static_cast<std::ptrdiff_t>(i));
-    if (IsFeasible(g, ic, without)) return false;
-  }
-  return true;
-}
-
 }  // namespace dsf

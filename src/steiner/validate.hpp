@@ -20,10 +20,6 @@ bool IsFeasible(const Graph& g, const IcInstance& ic, std::span<const EdgeId> f)
 // True iff F satisfies every connection request.
 bool IsFeasibleCr(const Graph& g, const CrInstance& cr, std::span<const EdgeId> f);
 
-// True iff F is feasible AND removing any single edge breaks feasibility.
-bool IsMinimalFeasible(const Graph& g, const IcInstance& ic,
-                       std::span<const EdgeId> f);
-
 // Diagnostic: empty string if feasible, otherwise a human-readable reason.
 std::string FeasibilityDiagnostic(const Graph& g, const IcInstance& ic,
                                   std::span<const EdgeId> f);

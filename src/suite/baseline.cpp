@@ -1,7 +1,9 @@
 #include "suite/baseline.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -24,14 +26,23 @@ const JsonValue& Need(const JsonValue& obj, const char* key,
 
 // Integers come back from the raw literal, not the double: a 64-bit cost
 // above 2^53 must not collapse onto a neighbour through the double detour.
+// A literal outside [lo, hi] is an error that names the field, never a
+// clamp or a wrap.
 long long NeedInt(const JsonValue& obj, const char* key,
-                  const std::string& origin) {
+                  const std::string& origin,
+                  long long lo = std::numeric_limits<long long>::min(),
+                  long long hi = std::numeric_limits<long long>::max()) {
   const JsonValue& v = Need(obj, key, origin);
   if (!v.IsNumber()) Fail(origin, std::string("'") + key + "' must be a number");
   char* end = nullptr;
+  errno = 0;
   const long long value = std::strtoll(v.string.c_str(), &end, 10);
   if (end == nullptr || *end != '\0') {
     Fail(origin, std::string("'") + key + "' must be an integer");
+  }
+  if (errno == ERANGE || value < lo || value > hi) {
+    Fail(origin, std::string("'") + key + "' must be an integer in [" +
+                     std::to_string(lo) + ", " + std::to_string(hi) + "]");
   }
   return value;
 }
@@ -40,11 +51,16 @@ std::uint64_t NeedU64(const JsonValue& obj, const char* key,
                       const std::string& origin) {
   const JsonValue& v = Need(obj, key, origin);
   if (!v.IsNumber()) Fail(origin, std::string("'") + key + "' must be a number");
+  // strtoull negates a leading '-' into a huge value instead of failing.
+  const auto fail = [&] {
+    Fail(origin, std::string("'") + key +
+                     "' must be an integer in [0, 2^64 - 1]");
+  };
+  if (v.string.starts_with('-')) fail();
   char* end = nullptr;
+  errno = 0;
   const std::uint64_t value = std::strtoull(v.string.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
-    Fail(origin, std::string("'") + key + "' must be a non-negative integer");
-  }
+  if (end == nullptr || *end != '\0' || errno == ERANGE) fail();
   return value;
 }
 
@@ -196,7 +212,8 @@ SuiteBaseline ParseSuiteBaseline(const std::string& text,
   out.manifest = NeedString(ctx, "manifest", origin);
   out.manifest_digest = NeedString(ctx, "manifest_digest", origin);
   out.seed = NeedU64(ctx, "seed", origin);
-  out.timing_reps = static_cast<int>(NeedInt(ctx, "timing_reps", origin));
+  out.timing_reps = static_cast<int>(
+      NeedInt(ctx, "timing_reps", origin, 1, std::numeric_limits<int>::max()));
   out.latency_band = NeedDouble(ctx, "latency_band", origin);
   out.latency_floor_ms = NeedDouble(ctx, "latency_floor_ms", origin);
   out.solvers = NeedStringArray(ctx, "solvers", origin);

@@ -6,6 +6,7 @@
 #include "graph/shortest_paths.hpp"
 #include "steiner/mst.hpp"
 #include "steiner/validate.hpp"
+#include "steiner_reference.hpp"
 
 namespace dsf {
 namespace {

@@ -1,5 +1,5 @@
 // The incremental re-solve tier (DESIGN.md §3/§5): instance deltas, forest
-// repair, warm-started IncrementalSolve, churn traces, and the serve-side
+// repair, PrepareWarmStart then Solve, churn traces, and the serve-side
 // `revise` op — including the cache-key contract (a warm revise result is
 // inserted under the *cold* canonical key of the revised instance) and the
 // never-worse-than-warm-start guarantee.
@@ -206,7 +206,7 @@ TEST(RepairTest, UnreachableTerminalFailsCleanly) {
   EXPECT_FALSE(repair.ok);
 }
 
-// --- IncrementalSolve --------------------------------------------------------
+// --- PrepareWarmStart, then Solve -------------------------------------------
 
 TEST(IncrementalTest, WarmResultNeverWorseThanWarmStart) {
   const Graph g = GridGraph(8, 8);
@@ -220,13 +220,14 @@ TEST(IncrementalTest, WarmResultNeverWorseThanWarmStart) {
     const SolveResult solved = Solve(base);
     ASSERT_TRUE(solved.feasible);
 
-    const IncrementalOutcome out =
-        IncrementalSolve(base, solved.forest, ToDelta(trace.steps[k]));
-    ASSERT_TRUE(out.warm) << out.cold_reason;
-    EXPECT_TRUE(out.result.feasible);
-    EXPECT_LE(out.result.weight, out.warm_weight);
+    const WarmStartPlan plan =
+        PrepareWarmStart(base, solved.forest, ToDelta(trace.steps[k]));
+    ASSERT_TRUE(plan.warm) << plan.cold_reason;
+    const SolveResult result = Solve(plan.revised);
+    EXPECT_TRUE(result.feasible);
+    EXPECT_LE(result.weight, plan.warm_weight);
     EXPECT_TRUE(
-        IsFeasible(g, trace.StateAt(static_cast<int>(k) + 1), out.result.forest));
+        IsFeasible(g, trace.StateAt(static_cast<int>(k) + 1), result.forest));
   }
 }
 
@@ -241,10 +242,10 @@ TEST(IncrementalTest, OversizedDeltaFallsBackCold) {
 
   InstanceDelta delta;  // 4 edits vs 2 demands: over any sane fraction
   delta.add_terminals = {{4, 2}, {20, 2}, {2, 3}, {22, 3}};
-  const IncrementalOutcome out = IncrementalSolve(base, solved.forest, delta);
-  EXPECT_FALSE(out.warm);
-  EXPECT_NE(out.cold_reason.find("delta too large"), std::string::npos);
-  EXPECT_TRUE(out.result.feasible);  // the cold path still answers
+  const WarmStartPlan plan = PrepareWarmStart(base, solved.forest, delta);
+  EXPECT_FALSE(plan.warm);
+  EXPECT_NE(plan.cold_reason.find("delta too large"), std::string::npos);
+  EXPECT_TRUE(Solve(plan.revised).feasible);  // the cold path still answers
 }
 
 TEST(IncrementalTest, NonWarmStartableSolverFallsBackCold) {
@@ -258,10 +259,10 @@ TEST(IncrementalTest, NonWarmStartableSolverFallsBackCold) {
 
   InstanceDelta delta;
   delta.add_terminals = {{3, 2}, {12, 2}};
-  const IncrementalOutcome out = IncrementalSolve(base, solved.forest, delta);
-  EXPECT_FALSE(out.warm);
-  EXPECT_NE(out.cold_reason.find("not warm-startable"), std::string::npos);
-  EXPECT_TRUE(out.result.feasible);
+  const WarmStartPlan plan = PrepareWarmStart(base, solved.forest, delta);
+  EXPECT_FALSE(plan.warm);
+  EXPECT_NE(plan.cold_reason.find("not warm-startable"), std::string::npos);
+  EXPECT_TRUE(Solve(plan.revised).feasible);
 }
 
 TEST(IncrementalTest, DeterministicAcrossRuns) {
@@ -275,11 +276,13 @@ TEST(IncrementalTest, DeterministicAcrossRuns) {
   InstanceDelta delta;
   delta.remove_terminals = {5, 30};
   delta.add_terminals = {{2, 3}, {33, 3}};
-  const IncrementalOutcome a = IncrementalSolve(base, solved.forest, delta);
-  const IncrementalOutcome b = IncrementalSolve(base, solved.forest, delta);
+  const WarmStartPlan a = PrepareWarmStart(base, solved.forest, delta);
+  const WarmStartPlan b = PrepareWarmStart(base, solved.forest, delta);
   EXPECT_EQ(a.warm, b.warm);
-  EXPECT_EQ(a.result.weight, b.result.weight);
-  EXPECT_EQ(a.result.forest, b.result.forest);
+  const SolveResult ra = Solve(a.revised);
+  const SolveResult rb = Solve(b.revised);
+  EXPECT_EQ(ra.weight, rb.weight);
+  EXPECT_EQ(ra.forest, rb.forest);
 }
 
 // --- churn traces ------------------------------------------------------------
@@ -457,7 +460,7 @@ std::vector<EdgeId> EdgesOf(const JsonValue& response) {
   return out;
 }
 
-TEST(ReviseProtocolTest, WarmPathMatchesOneShotIncrementalSolve) {
+TEST(ReviseProtocolTest, WarmPathMatchesPrepareThenSolve) {
   const Graph g = GridGraph(7, 7);
   const ChurnTrace trace = SampleChurnTrace(49, 0, 8, 1, 1, 2024);
   const std::string base_spec = SpecTextFor(g, trace.base, 11);
@@ -479,8 +482,8 @@ TEST(ReviseProtocolTest, WarmPathMatchesOneShotIncrementalSolve) {
   const JsonValue& unit = revise.Find("results")->array[0];
   EXPECT_TRUE(unit.GetBool("feasible", false));
 
-  // Bit-identical to the one-shot incremental path under the serve tier's
-  // seed discipline (unit 0 of spec seed 11).
+  // Bit-identical to PrepareWarmStart then Solve in one process, under the
+  // serve tier's seed discipline (unit 0 of spec seed 11).
   std::istringstream in(base_spec);
   const WorkloadSpec spec = ParseWorkloadSpec(in, "<test>");
   const Workload workload = ExpandWorkload(spec);
@@ -493,15 +496,16 @@ TEST(ReviseProtocolTest, WarmPathMatchesOneShotIncrementalSolve) {
   base_request.seed = DeriveSeed(spec.seed, 0);
   const SolveResult base_result = Solve(base_request);
   ASSERT_TRUE(base_result.feasible);
-  const IncrementalOutcome expected =
-      IncrementalSolve(base_request, base_result.forest, delta);
-  ASSERT_TRUE(expected.warm) << expected.cold_reason;
+  const WarmStartPlan plan =
+      PrepareWarmStart(base_request, base_result.forest, delta);
+  ASSERT_TRUE(plan.warm) << plan.cold_reason;
+  const SolveResult expected = Solve(plan.revised);
   EXPECT_EQ(static_cast<Weight>(unit.GetNumber("weight", -1)),
-            expected.result.weight);
-  EXPECT_EQ(EdgesOf(revise), expected.result.forest);
+            expected.weight);
+  EXPECT_EQ(EdgesOf(revise), expected.forest);
   // Never worse than the repaired warm start.
   EXPECT_LE(static_cast<Weight>(unit.GetNumber("weight", -1)),
-            expected.warm_weight);
+            plan.warm_weight);
 }
 
 TEST(ReviseProtocolTest, RevisedKeyEqualsColdKeyAndCachesTheResult) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "steiner_reference.hpp"
+
 namespace dsf {
 namespace {
 

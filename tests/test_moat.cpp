@@ -8,6 +8,7 @@
 #include "steiner/exact.hpp"
 #include "steiner/mst.hpp"
 #include "steiner/validate.hpp"
+#include "steiner_reference.hpp"
 
 namespace dsf {
 namespace {

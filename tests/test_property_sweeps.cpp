@@ -21,6 +21,7 @@
 #include "graph/generators.hpp"
 #include "steiner/moat.hpp"
 #include "steiner/validate.hpp"
+#include "steiner_reference.hpp"
 
 namespace dsf {
 namespace {

@@ -16,6 +16,7 @@
 #include "prune_reference.hpp"
 #include "steiner/mst.hpp"
 #include "steiner/validate.hpp"
+#include "steiner_reference.hpp"
 #include "workload/generators.hpp"
 
 namespace dsf {

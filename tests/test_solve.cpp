@@ -136,6 +136,68 @@ TEST(SolvePipelineTest, SeedDeterminism) {
   }
 }
 
+// --- the warm-start incumbent rule -------------------------------------------
+
+// Terminals 0 and 1 share a direct edge of weight 5 and a path of three
+// 2-edges through nodes 2 and 3. Kruskal keeps the path, so mst-prune
+// returns it (weight 6), while exact takes the direct edge (weight 5).
+Graph DetourGraph() {
+  return MakeGraph(4, {{0, 1, 5}, {0, 2, 2}, {2, 3, 2}, {3, 1, 2}});
+}
+
+TEST(WarmStartBackstopTest, HeavierResultGivesWayToTheWarmStart) {
+  const Graph g = DetourGraph();
+  const IcInstance ic = MakeIcInstance(4, {{0, 1}, {1, 1}});
+  const SolveResult exact = Solve("exact", g, ic);
+  const SolveResult cold = Solve("mst-prune", g, ic);
+  ASSERT_EQ(exact.weight, 5);
+  ASSERT_EQ(cold.weight, 6);
+
+  SolveOptions options;
+  options.warm_start = exact.forest;
+  const SolveResult warm = Solve("mst-prune", g, ic, options);
+  EXPECT_EQ(warm.weight, exact.weight);
+  EXPECT_EQ(warm.forest, exact.forest);
+  EXPECT_TRUE(warm.validated);
+  EXPECT_TRUE(warm.feasible);
+
+  // The CR form and the batch engine's entry point share the rule.
+  const SolveResult via_cr =
+      Solve("mst-prune", g, MakeCrInstance(4, {{0, 1}}), options);
+  EXPECT_EQ(via_cr.weight, exact.weight);
+  EXPECT_EQ(via_cr.forest, exact.forest);
+  EXPECT_TRUE(via_cr.feasible);
+  SolveRequest request;
+  request.solver = "mst-prune";
+  request.graph = &g;
+  request.ic = ic;
+  request.options = options;
+  const SolveResult batch = Solve(request, /*seed_override=*/9,
+                                  /*net_threads_override=*/2);
+  EXPECT_EQ(batch.weight, exact.weight);
+  EXPECT_EQ(batch.forest, exact.forest);
+  EXPECT_TRUE(batch.feasible);
+}
+
+TEST(WarmStartBackstopTest, InvalidWarmStartLeavesTheCoreResult) {
+  const Graph g = DetourGraph();
+  const IcInstance ic = MakeIcInstance(4, {{0, 1}, {1, 1}});
+  const SolveResult cold = Solve("mst-prune", g, ic);
+  const std::vector<std::vector<EdgeId>> invalid = {
+      {1},      // lighter, but leaves terminal 1 unconnected
+      {4},      // edge id past the graph
+      {-1, 0},  // a negative id beside the optimal edge
+  };
+  for (std::size_t i = 0; i < invalid.size(); ++i) {
+    SolveOptions options;
+    options.warm_start = invalid[i];
+    const SolveResult r = Solve("mst-prune", g, ic, options);
+    EXPECT_EQ(r.weight, cold.weight) << i;
+    EXPECT_EQ(r.forest, cold.forest) << i;
+    EXPECT_TRUE(r.feasible) << i;
+  }
+}
+
 // The satellite sweep: random grids and Erdős–Rényi graphs; every solver
 // feasible, and the deterministic solver within (2+ε) of the dual bound.
 TEST(SolverConsistencyTest, CrossSolverSweep) {

@@ -7,6 +7,7 @@
 #include "common/random.hpp"
 #include "graph/generators.hpp"
 #include "graph/shortest_paths.hpp"
+#include "steiner_reference.hpp"
 
 namespace dsf {
 namespace {

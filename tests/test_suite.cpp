@@ -210,6 +210,40 @@ TEST(SuiteBaselineTest, ReaderRejectsMalformedDocuments) {
       std::runtime_error);
 }
 
+// A literal out of its field's range is refused by name, never wrapped or
+// clamped: each case edits one integer of the committed baseline.
+TEST(SuiteBaselineTest, ReaderRejectsOutOfRangeIntegers) {
+  std::ifstream in(std::string(DSF_SOURCE_DIR) + "/bench/SUITE_baseline.json",
+                   std::ios::binary);
+  ASSERT_TRUE(in);
+  std::ostringstream content;
+  content << in.rdbuf();
+  const std::string committed = content.str();
+  ASSERT_NO_THROW((void)ParseSuiteBaseline(committed, "<committed>"));
+
+  struct Edit {
+    std::string from, to, field;
+  };
+  const std::vector<Edit> edits = {
+      {R"("seed":9181)", R"("seed":-1)", "'seed'"},
+      {R"("cost":45)", R"("cost":99999999999999999999)", "'cost'"},
+      {R"("timing_reps":3)", R"("timing_reps":4294967299)", "'timing_reps'"},
+  };
+  for (const Edit& edit : edits) {
+    std::string text = committed;
+    const std::size_t at = text.find(edit.from);
+    ASSERT_NE(at, std::string::npos) << edit.from;
+    text.replace(at, edit.from.size(), edit.to);
+    try {
+      (void)ParseSuiteBaseline(text, "<edited>");
+      ADD_FAILURE() << "accepted " << edit.to;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(edit.field), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 // --- the --check gate --------------------------------------------------------
 
 TEST(SuiteCheckTest, UnchangedRunPasses) {

@@ -5,6 +5,7 @@
 
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
+#include "steiner_reference.hpp"
 
 namespace dsf {
 namespace {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/generators.hpp"
+#include "steiner_reference.hpp"
 
 namespace dsf {
 namespace {
