@@ -114,15 +114,6 @@ NodeApi::NodeApi(Network& net, NodeId id, int executor)
       slot_base_(static_cast<std::uint32_t>(net.graph_.IncidenceBase(id))),
       nb_(net.graph_.Neighbors(id)) {}
 
-Weight NodeApi::EdgeWeight(int local) const {
-  DSF_CHECK(local >= 0 && local < Degree());
-  return net_.graph_.GetEdge(nb_[static_cast<std::size_t>(local)].edge).w;
-}
-
-const StaticKnowledge& NodeApi::Known() const noexcept { return net_.known_; }
-
-long NodeApi::Round() const noexcept { return net_.round_; }
-
 SplitMix64& NodeApi::Rng() noexcept {
   return *net_.nodes_[static_cast<std::size_t>(id_)].rng;
 }
@@ -139,10 +130,6 @@ void NodeApi::UnmarkEdge(int local) {
   auto& st = net_.nodes_[static_cast<std::size_t>(id_)];
   net_.NoteEffects(st, id_, executor_);
   st.mark_ops.emplace_back(e, false);
-}
-
-long NodeApi::LastAppActivity() const noexcept {
-  return net_.last_app_[static_cast<std::size_t>(id_)];
 }
 
 void NodeApi::NotePhases(long phases) {

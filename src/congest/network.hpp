@@ -393,7 +393,23 @@ class Network {
 // Send() and Inbox() are defined in the header so protocol tick loops inline
 // them: a Message built at the call site keeps its fields in registers all
 // the way into the arena append (constant field counts unroll BitSize and
-// the field-pool copy).
+// the field-pool copy). The accessors node programs call every round or
+// every message (Known, Round, LastAppActivity, EdgeWeight) sit here too.
+
+inline Weight NodeApi::EdgeWeight(int local) const {
+  DSF_CHECK(local >= 0 && local < Degree());
+  return net_.graph_.GetEdge(nb_[static_cast<std::size_t>(local)].edge).w;
+}
+
+inline const StaticKnowledge& NodeApi::Known() const noexcept {
+  return net_.known_;
+}
+
+inline long NodeApi::Round() const noexcept { return net_.round_; }
+
+inline long NodeApi::LastAppActivity() const noexcept {
+  return net_.last_app_[static_cast<std::size_t>(id_)];
+}
 
 inline std::span<const Delivery> NodeApi::Inbox() const noexcept {
   const auto v = static_cast<std::size_t>(id_);

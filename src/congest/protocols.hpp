@@ -20,13 +20,11 @@
 // Derived programs implement OnTreeReady / OnAppRound / OnCtrl.
 #pragma once
 
-#include <deque>
-#include <optional>
-#include <set>
-#include <unordered_set>
+#include <cstddef>
+#include <cstdint>
+#include <utility>
 #include <vector>
 
-#include "common/hash.hpp"
 #include "congest/network.hpp"
 
 namespace dsf {
@@ -34,6 +32,37 @@ namespace dsf {
 // Control message opcodes (first field of a kChCtrl message).
 enum CtrlOp : std::int64_t {
   kCtrlFinish = -1,  // global termination; forwarded, then node completes
+};
+
+// FIFO over one vector and a head index. Constructing it allocates nothing
+// (libstdc++ allocates a deque's block map when it is constructed, which
+// every tree node paid once per queue and run), and a drained queue reuses
+// its storage. The consumed prefix is dropped once it is at least half the
+// vector, so memory stays within twice the live items.
+template <class T>
+class VectorFifo {
+ public:
+  [[nodiscard]] bool empty() const noexcept { return head_ == items_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept {
+    return items_.size() - head_;
+  }
+  [[nodiscard]] T& front() { return items_[head_]; }
+  void push_back(T item) { items_.push_back(std::move(item)); }
+  void pop_front() {
+    if (++head_ == items_.size()) {
+      items_.clear();
+      head_ = 0;
+    } else if (head_ >= kCompactMin && 2 * head_ >= items_.size()) {
+      items_.erase(items_.begin(),
+                   items_.begin() + static_cast<std::ptrdiff_t>(head_));
+      head_ = 0;
+    }
+  }
+
+ private:
+  static constexpr std::size_t kCompactMin = 32;
+  std::vector<T> items_;
+  std::size_t head_ = 0;
 };
 
 class TreeProgramBase : public NodeProgram {
@@ -133,9 +162,9 @@ class TreeProgramBase : public NodeProgram {
   }
 
  private:
-  void HandleBfs(NodeApi& api);
-  void HandleDetector(NodeApi& api);
-  void HandleCtrl(NodeApi& api);
+  // One pass over the inbox for the scaffolding channels: BFS announcements
+  // and child claims, detector reports, and control messages.
+  void HandleScaffolding(NodeApi& api);
 
   NodeId id_;
   bool is_root_ = false;
@@ -147,13 +176,14 @@ class TreeProgramBase : public NodeProgram {
   int depth_ = -1;
   std::vector<int> child_locals_;
 
-  // Quiescence detector state.
-  long subtree_last_activity_ = -1;  // max over own + cached child reports
-  std::vector<long> child_last_activity_;
+  // Quiescence detector state. A child's reports only grow, so the maximum
+  // over every report received stands in for the per-child latest values.
+  long subtree_last_activity_ = -1;  // max over own + folded child reports
+  long child_report_max_ = -1;       // folded in after OnAppRound
   long reported_last_activity_ = -2;  // last value sent to parent
 
   // Control broadcast state: FIFO of messages to forward to children.
-  std::deque<Message> ctrl_queue_;
+  VectorFifo<Message> ctrl_queue_;
 };
 
 // Pipelined convergecast of items toward the BFS root with subtree-completion
@@ -201,7 +231,7 @@ class CollectPipeline {
 
  private:
   int channel_ = kChApp;
-  std::deque<FieldList> queue_;  // inline payloads: relaying allocates nothing
+  VectorFifo<FieldList> queue_;  // inline payloads: one vector per pipeline
   bool own_done_ = false;
   bool done_sent_ = false;
   int children_pending_ = 0;
@@ -209,38 +239,58 @@ class CollectPipeline {
 
 // Per-edge FIFO of keys with membership dedup, shared by the flooding
 // protocols (Bellman-Ford labels, LE-list entries) to rate-limit per-round
-// sends. The queue stores only keys; the owner supplies the payload at send
-// time, so a key that is re-improved while queued is sent with its freshest
-// value exactly once.
+// sends. Each key is interned once per node into a dense slot (0, 1, ... in
+// first-intern order) and the queues hold slots: the owner keeps its values
+// in a vector indexed by slot and supplies the payload at send time, so a
+// key re-improved while queued is sent with its freshest value exactly once.
+// Membership is one bit per (slot, edge), in 64-edge words, so one flat
+// bit row per slot covers any degree.
 class KeyedEdgeQueues {
  public:
-  void Configure(int degree) {
-    queue_.assign(static_cast<std::size_t>(degree), {});
-    queued_.assign(static_cast<std::size_t>(degree), {});
-    pending_ = 0;
+  // Empties every queue and forgets every slot, for a node of `degree`
+  // incident edges.
+  void Configure(int degree);
+
+  // The slot of `key`, interning it on first sight.
+  int Intern(NodeId key);
+  // The slot of `key`, or -1 if it was never interned.
+  [[nodiscard]] int Find(NodeId key) const noexcept;
+  [[nodiscard]] NodeId KeyOf(int slot) const {
+    return keys_[static_cast<std::size_t>(slot)];
   }
 
-  // Enqueues `key` on every edge except `except_local` (pass -1 for none);
-  // a key already queued on an edge is not duplicated.
-  void EnqueueAll(NodeId key, int except_local);
+  // Enqueues `slot` on every edge except `except_local` (pass -1 for none);
+  // a slot already queued on an edge is not duplicated.
+  void EnqueueAll(int slot, int except_local);
 
-  // Pops up to `budget` distinct keys from edge `local`'s queue into `out`
+  // True when edge `local` has nothing queued: owners skip it.
+  [[nodiscard]] bool Empty(int local) const noexcept {
+    return fifos_[static_cast<std::size_t>(local)].empty();
+  }
+
+  // Pops up to `budget` distinct slots from edge `local`'s queue into `out`
   // (cleared first). Allocation-free: callers keep a scratch buffer.
-  void PopInto(int local, int budget, std::vector<NodeId>& out);
+  void PopInto(int local, int budget, std::vector<int>& out);
 
-  // True while any edge queue holds a key (the owner still has sends to
+  // True while any edge queue holds a slot (the owner still has sends to
   // emit). O(1): maintained as a counter across EnqueueAll/Pop.
   [[nodiscard]] bool HasPending() const noexcept { return pending_ > 0; }
 
  private:
-  std::vector<std::deque<NodeId>> queue_;
-  // Membership dedup per edge; only insert/erase/lookup, so the container's
-  // iteration order is irrelevant to the run. Keys are scrambled through the
-  // shared Mix64 avalanche (common/hash.hpp): node ids arrive in runs of
-  // near-consecutive values, which the identity std::hash<int> would map to
-  // runs of adjacent buckets.
-  std::vector<std::unordered_set<NodeId, IdHash>> queued_;
-  std::size_t pending_ = 0;  // total keys across all edge queues
+  // The table cell holding `key`, or the empty cell where it would go.
+  [[nodiscard]] std::size_t CellOf(NodeId key) const noexcept;
+  [[nodiscard]] std::uint64_t* BitsOf(int slot) noexcept {
+    return bits_.data() + static_cast<std::size_t>(slot) * words_;
+  }
+
+  std::vector<VectorFifo<int>> fifos_;  // per edge
+  std::size_t words_ = 0;               // 64-edge words per slot
+  std::vector<std::uint64_t> bits_;     // slot-major membership bits
+  std::vector<NodeId> keys_;            // slot -> key
+  // Open addressing over Mix64(key): slot + 1, or 0 for an empty cell;
+  // a power-of-two size at most half full.
+  std::vector<std::uint32_t> table_;
+  std::size_t pending_ = 0;  // total slots across all edge queues
 };
 
 // Distributed BFS-tree sanity program used by tests: builds the tree, then

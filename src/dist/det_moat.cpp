@@ -1,9 +1,9 @@
 #include "dist/det_moat.hpp"
 
 #include <algorithm>
-#include <deque>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <set>
 
 #include "congest/protocols.hpp"
@@ -44,11 +44,9 @@ class DetMoatProgram : public TreeProgramBase {
     if (label_ != kNoLabel) {
       term_pipe_.Seed({Id(), static_cast<std::int64_t>(label_)});
       // This node is a Bellman-Ford source.
-      BfLabel self;
-      self.dist = 0;
-      self.hops = 0;
-      bf_[Id()] = self;
-      bf_queues_.EnqueueAll(Id(), /*except_local=*/-1);
+      const int slot = SlotOf(Id());
+      bf_[static_cast<std::size_t>(slot)] = BfLabel{/*dist=*/0, /*hops=*/0};
+      bf_queues_.EnqueueAll(slot, /*except_local=*/-1);
     }
     term_pipe_.MarkOwnDone();
   }
@@ -97,9 +95,16 @@ class DetMoatProgram : public TreeProgramBase {
     switch (msg.fields[0]) {
       case kOpReportDistances:
         if (label_ != kNoLabel) {
-          // bf_ is a std::map: sources are reported in increasing id order.
-          for (const auto& [src, lab] : bf_) {
-            dist_pipe_.Seed({Id(), src, lab.dist, lab.hops});
+          // Sources are reported in increasing id order.
+          std::vector<int> slots(bf_.size());
+          std::iota(slots.begin(), slots.end(), 0);
+          std::sort(slots.begin(), slots.end(), [&](int a, int b) {
+            return bf_queues_.KeyOf(a) < bf_queues_.KeyOf(b);
+          });
+          for (const int slot : slots) {
+            const BfLabel& lab = bf_[static_cast<std::size_t>(slot)];
+            dist_pipe_.Seed(
+                {Id(), bf_queues_.KeyOf(slot), lab.dist, lab.hops});
           }
         }
         dist_pipe_.MarkOwnDone();
@@ -132,11 +137,20 @@ class DetMoatProgram : public TreeProgramBase {
     int parent_local = -1;
   };
 
+  // The flood queues' slot of source `src`, interned on first sight with
+  // an unreached label: bf_ is indexed by these slots.
+  int SlotOf(NodeId src) {
+    const int slot = bf_queues_.Intern(src);
+    if (static_cast<std::size_t>(slot) == bf_.size()) bf_.emplace_back();
+    return slot;
+  }
+
   void OnBellman(NodeApi& api, const Delivery& d) {
     const auto src = static_cast<NodeId>(d.msg.fields[0]);
     const Weight nd = d.msg.fields[1] + api.EdgeWeight(d.from_local);
     const std::int64_t nh = d.msg.fields[2] + 1;
-    BfLabel& cur = bf_[src];
+    const int slot = SlotOf(src);
+    BfLabel& cur = bf_[static_cast<std::size_t>(slot)];
     const bool better =
         nd < cur.dist || (nd == cur.dist && nh < cur.hops) ||
         (nd == cur.dist && nh == cur.hops && d.from_node < cur.parent);
@@ -148,16 +162,19 @@ class DetMoatProgram : public TreeProgramBase {
     cur.parent_local = d.from_local;
     // A parent-only refinement leaves the (dist, hops) the neighbors depend
     // on unchanged; only genuine improvements are re-propagated.
-    if (repropagate) bf_queues_.EnqueueAll(src, d.from_local);
+    if (repropagate) bf_queues_.EnqueueAll(slot, d.from_local);
   }
 
   void TickBellman(NodeApi& api) {
     if (!bf_queues_.HasPending()) return;
     for (int e = 0; e < api.Degree(); ++e) {
+      if (bf_queues_.Empty(e)) continue;
       bf_queues_.PopInto(e, kBfPerRound, pop_scratch_);
-      for (const NodeId src : pop_scratch_) {
-        const BfLabel& lab = bf_.at(src);  // always the freshest label
-        api.Send(e, Message{kChBellman, {src, lab.dist, lab.hops}});
+      for (const int slot : pop_scratch_) {
+        // Always the freshest label.
+        const BfLabel& lab = bf_[static_cast<std::size_t>(slot)];
+        api.Send(e, Message{kChBellman,
+                            {bf_queues_.KeyOf(slot), lab.dist, lab.hops}});
       }
     }
   }
@@ -165,10 +182,11 @@ class DetMoatProgram : public TreeProgramBase {
   // One hop of a merge-path walk: report the parent edge toward `src`, mark
   // it, and pass the token on.
   void WalkStep(NodeApi& api, NodeId src) {
-    const auto it = bf_.find(src);
-    DSF_CHECK_MSG(it != bf_.end() && it->second.parent_local >= 0,
-                  "merge walk reached a node without a converged label");
-    const BfLabel& lab = it->second;
+    const int slot = bf_queues_.Find(src);
+    DSF_CHECK_MSG(
+        slot >= 0 && bf_[static_cast<std::size_t>(slot)].parent_local >= 0,
+        "merge walk reached a node without a converged label");
+    const BfLabel& lab = bf_[static_cast<std::size_t>(slot)];
     path_pipe_.Seed({lab.hops, api.GlobalEdgeId(lab.parent_local), lab.parent,
                      Id()});
     api.MarkEdge(lab.parent_local);
@@ -296,9 +314,9 @@ class DetMoatProgram : public TreeProgramBase {
   Label label_;
   Real epsilon_;
 
-  std::map<NodeId, BfLabel> bf_;
+  std::vector<BfLabel> bf_;  // indexed by bf_queues_' slot of the source
   KeyedEdgeQueues bf_queues_;
-  std::vector<NodeId> pop_scratch_;  // reused by TickBellman
+  std::vector<int> pop_scratch_;  // reused by TickBellman
 
   CollectPipeline term_pipe_;
   CollectPipeline dist_pipe_;

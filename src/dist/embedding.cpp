@@ -80,8 +80,13 @@ void LeListModule::Configure(NodeId id, std::uint64_t seed, int degree,
 
 void LeListModule::Enqueue(NodeId node, const PendingValue& value,
                            int except_local) {
-  pending_[node] = value;
-  queues_.EnqueueAll(node, except_local);
+  const int slot = queues_.Intern(node);
+  if (static_cast<std::size_t>(slot) == pending_.size()) {
+    pending_.push_back(value);
+  } else {
+    pending_[static_cast<std::size_t>(slot)] = value;
+  }
+  queues_.EnqueueAll(slot, except_local);
 }
 
 void LeListModule::OnReceive(NodeApi& api, const Delivery& d) {
@@ -98,11 +103,14 @@ void LeListModule::OnReceive(NodeApi& api, const Delivery& d) {
 void LeListModule::Tick(NodeApi& api) {
   if (!queues_.HasPending()) return;
   for (int e = 0; e < degree_; ++e) {
+    if (queues_.Empty(e)) continue;
     queues_.PopInto(e, kLePerRound, pop_scratch_);
-    for (const NodeId node : pop_scratch_) {
-      const PendingValue& value = pending_.at(node);  // freshest value
+    for (const int slot : pop_scratch_) {
+      // Always the freshest value.
+      const PendingValue& value = pending_[static_cast<std::size_t>(slot)];
       api.Send(e, Message{kChLe,
-                          {node, static_cast<std::int64_t>(value.rank_key),
+                          {queues_.KeyOf(slot),
+                           static_cast<std::int64_t>(value.rank_key),
                            value.dist, value.hops}});
     }
   }

@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/ids.hpp"
@@ -117,12 +116,13 @@ class LeListModule {
   std::uint64_t seed_ = 0;
   LeList list_;
   // Rate-limited flooding: the shared per-edge key queues plus the freshest
-  // (rank, dist, hops) per node — re-improvements update the value in place,
-  // and a value must survive even if the entry is later pruned from the
-  // list, so it cannot be read back from list_ at send time.
+  // (rank, dist, hops) per node, indexed by the queues' slot of the node —
+  // re-improvements update the value in place, and a value must survive
+  // even if the entry is later pruned from the list, so it cannot be read
+  // back from list_ at send time.
   KeyedEdgeQueues queues_;
-  std::map<NodeId, PendingValue> pending_;
-  std::vector<NodeId> pop_scratch_;  // reused by Tick
+  std::vector<PendingValue> pending_;
+  std::vector<int> pop_scratch_;  // reused by Tick
 };
 
 // Centralized reference embedding (exact mirror of the module's fixed

@@ -8,7 +8,11 @@
 // is a correctness bug, not a tuning artifact.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
 #include <limits>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -17,8 +21,10 @@
 #include "congest/network.hpp"
 #include "dist/det_moat.hpp"
 #include "dist/randomized.hpp"
+#include "dist/transform.hpp"
 #include "graph/generators.hpp"
 #include "steiner/instance.hpp"
+#include "workload/spec.hpp"
 
 namespace dsf {
 namespace {
@@ -109,6 +115,185 @@ TEST(NetworkGoldenTest, RandomizedPinnedUnderAllSchedulers) {
     EXPECT_EQ(res.le_rounds, 17);
     EXPECT_EQ(res.reduced_terminals, 0);
   }
+}
+
+// Protocol pins at the size the cold-dist workload serves: the four n = 240
+// families of perfbench's cold-dist stream plus one dense graph whose
+// maximum degree passes 128, each with a random-ic (k=3, tpc=2) and a
+// random-cr (pairs=4) instance. A CR instance's transformed IC has up to 8
+// terminals, so nodes carry more than 6 Bellman-Ford sources, and the dense
+// graph puts more than two 64-edge words under one node's flood queues. Each
+// row pins rounds, messages, bits, charged rounds and a digest of the
+// forest (of the assigned labels for the transform) under every scheduler.
+struct ProtocolPin {
+  const char* name;
+  long rounds;
+  long messages;
+  long total_bits;
+  long max_bits;
+  long charged;
+  std::uint64_t output;
+};
+
+std::uint64_t DigestOf(const std::vector<std::int64_t>& values) {
+  std::uint64_t h = Mix64(values.size());
+  for (const std::int64_t v : values) {
+    h = Mix64(h ^ static_cast<std::uint64_t>(v));
+  }
+  return h;
+}
+
+void ExpectPin(const ProtocolPin& want, const std::string& name,
+               const RunStats& s, const std::vector<std::int64_t>& output) {
+  const ProtocolPin got{name.c_str(),
+                        s.rounds,
+                        s.messages,
+                        s.total_bits,
+                        s.max_bits_per_edge_round,
+                        s.charged_rounds,
+                        DigestOf(output)};
+  EXPECT_FALSE(s.hit_round_limit);
+  const bool same = name == want.name && got.rounds == want.rounds &&
+                    got.messages == want.messages &&
+                    got.total_bits == want.total_bits &&
+                    got.max_bits == want.max_bits &&
+                    got.charged == want.charged && got.output == want.output;
+  // On a mismatch, print the row as it would be written in the table.
+  EXPECT_TRUE(same) << "got {\"" << got.name << "\", " << got.rounds << ", "
+                    << got.messages << ", " << got.total_bits << ", "
+                    << got.max_bits << ", " << got.charged << ", "
+                    << got.output << "ULL},";
+}
+
+std::vector<std::int64_t> AsValues(const std::vector<EdgeId>& forest) {
+  return {forest.begin(), forest.end()};
+}
+
+constexpr const char* kColdDistSpec = R"(seed 1
+generate grid rows=15 cols=16 as grid
+sample random-ic ic k=3 tpc=2
+sample random-cr cr pairs=4
+generate er n=240 p=0.02 as er
+sample random-ic ic k=3 tpc=2
+sample random-cr cr pairs=4
+generate power-law n=240 m=2 as power-law
+sample random-ic ic k=3 tpc=2
+sample random-cr cr pairs=4
+generate expander-far-pairs pairs=4 tail=8 core=176 as expander
+sample random-ic ic k=3 tpc=2
+sample random-cr cr pairs=4
+generate er n=200 p=0.7 min_w=1 max_w=9 as dense
+sample random-ic ic k=3 tpc=2
+sample random-cr cr pairs=4
+)";
+
+// Per case, in order: the CR->IC transform, then dist-det, dist-rand (one
+// repetition) and dist-khan on the IC instance and on the transformed CR.
+const ProtocolPin kColdDistPins[] = {
+    {"grid/cr->ic", 99, 3931, 83890, 80, 0, 9568658306531601094ULL},
+    {"grid/ic/dist-det", 331, 14146, 315179, 134, 0, 13298085148239395189ULL},
+    {"grid/ic/dist-rand", 237, 12544, 555907, 190, 183, 220116947536668996ULL},
+    {"grid/ic/dist-khan", 735, 38326, 1901890, 191, 0, 13329221924489454135ULL},
+    {"grid/cr/dist-det", 382, 18322, 411229, 135, 0, 16794691558977622585ULL},
+    {"grid/cr/dist-rand", 254, 13195, 576946, 190, 305,
+     16794691558977622585ULL},
+    {"grid/cr/dist-khan", 977, 51629, 2546458, 191, 0, 10076691562752352502ULL},
+    {"er/cr->ic", 26, 4482, 83998, 78, 0, 15015789738529462873ULL},
+    {"er/ic/dist-det", 112, 22334, 473278, 125, 0, 5878937807032564404ULL},
+    {"er/ic/dist-rand", 85, 25209, 1646665, 185, 0, 3107383506053634098ULL},
+    {"er/ic/dist-khan", 205, 68478, 4520893, 186, 0, 5844076387589770190ULL},
+    {"er/cr/dist-det", 124, 26083, 567694, 125, 0, 5616951105449351486ULL},
+    {"er/cr/dist-rand", 76, 25580, 1657797, 185, 0, 15880063281664600275ULL},
+    {"er/cr/dist-khan", 273, 92120, 6097560, 186, 0, 10122003520300649586ULL},
+    {"power-law/cr->ic", 32, 3485, 67737, 79, 0, 16330254908271482098ULL},
+    {"power-law/ic/dist-det", 124, 11745, 249432, 125, 0,
+     6946819087886076913ULL},
+    {"power-law/ic/dist-rand", 103, 12044, 647191, 186, 0,
+     6946819087886076913ULL},
+    {"power-law/ic/dist-khan", 234, 36670, 2105375, 188, 0,
+     14668498045092488191ULL},
+    {"power-law/cr/dist-det", 142, 13771, 291651, 125, 0,
+     14368896135821391782ULL},
+    {"power-law/cr/dist-rand", 102, 12081, 650063, 186, 0,
+     11344604986751914411ULL},
+    {"power-law/cr/dist-khan", 234, 36668, 2107555, 188, 0,
+     1234236469419361261ULL},
+    {"expander/cr->ic", 75, 3574, 71480, 80, 0, 15244137692209277943ULL},
+    {"expander/ic/dist-det", 208, 7857, 167782, 106, 0, 8199816198063741547ULL},
+    {"expander/ic/dist-rand", 203, 7584, 271513, 185, 60,
+     6132010241379842581ULL},
+    {"expander/ic/dist-khan", 599, 19326, 729650, 188, 0,
+     17675895757588281571ULL},
+    {"expander/cr/dist-det", 300, 11162, 229733, 105, 0,
+     17541760253080009649ULL},
+    {"expander/cr/dist-rand", 208, 8179, 286050, 185, 180,
+     510569729855853196ULL},
+    {"expander/cr/dist-khan", 797, 26073, 985355, 188, 0,
+     2317330995589591007ULL},
+    {"dense/cr->ic", 18, 30058, 337511, 77, 0, 16169946433754543125ULL},
+    {"dense/ic/dist-det", 54, 276927, 5437947, 119, 0, 17439975150856001506ULL},
+    {"dense/ic/dist-rand", 47, 323964, 23688251, 179, 0,
+     13429158901518410699ULL},
+    {"dense/ic/dist-khan", 133, 1155601, 87213582, 181, 0,
+     9797603231878926926ULL},
+    {"dense/cr/dist-det", 57, 316370, 6265496, 120, 0, 1152420209298392259ULL},
+    {"dense/cr/dist-rand", 47, 323968, 23690833, 179, 0,
+     5633715469771582859ULL},
+    {"dense/cr/dist-khan", 134, 1155619, 87216744, 181, 0,
+     3988736485516164175ULL},
+};
+
+TEST(NetworkGoldenTest, ColdDistFamiliesPinnedUnderAllSchedulers) {
+  std::istringstream in(kColdDistSpec);
+  const Workload workload = ExpandWorkload(ParseWorkloadSpec(in, "<pins>"));
+  ASSERT_EQ(workload.cases.size(), 5u);
+  const Graph& dense = workload.cases.back().graph;
+  int max_degree = 0;
+  for (NodeId v = 0; v < dense.NumNodes(); ++v) {
+    max_degree =
+        std::max(max_degree, static_cast<int>(dense.Neighbors(v).size()));
+  }
+  ASSERT_GT(max_degree, 128);
+
+  int max_sources = 0;
+  for (const auto& net_opts : kAllConfigs) {
+    SCOPED_TRACE(testing::Message() << "active_set=" << net_opts.active_set
+                                    << " threads=" << net_opts.threads);
+    std::size_t row = 0;
+    const auto check = [&](const std::string& name, const RunStats& stats,
+                           const std::vector<std::int64_t>& output) {
+      static const ProtocolPin kMissing{"<missing row>", 0, 0, 0, 0, 0, 0};
+      const std::size_t i = row++;
+      ExpectPin(i < std::size(kColdDistPins) ? kColdDistPins[i] : kMissing,
+                name, stats, output);
+    };
+    for (const WorkloadCase& wc : workload.cases) {
+      const Graph& g = wc.graph;
+      ASSERT_EQ(wc.instances.size(), 2u);
+      const TransformResult tr =
+          RunDistributedCrToIc(g, wc.instances[1].cr, 3, net_opts);
+      check(wc.name + "/cr->ic", tr.stats,
+            {tr.instance.labels.begin(), tr.instance.labels.end()});
+      max_sources = std::max(max_sources, tr.instance.NumTerminals());
+      for (const IcInstance* ic : {&wc.instances[0].ic, &tr.instance}) {
+        const std::string tag =
+            wc.name + (ic == &tr.instance ? "/cr" : "/ic") + "/";
+        DetMoatOptions det;
+        det.net = net_opts;
+        const auto d = RunDistributedMoat(g, *ic, det, 5);
+        check(tag + "dist-det", d.stats, AsValues(d.forest));
+        RandomizedOptions rand;
+        rand.repetitions = 1;
+        rand.net = net_opts;
+        const auto r = RunRandomizedSteinerForest(g, *ic, rand, 7);
+        check(tag + "dist-rand", r.stats, AsValues(r.forest));
+        const auto k = RunKhanBaseline(g, *ic, 9, net_opts);
+        check(tag + "dist-khan", k.stats, AsValues(k.forest));
+      }
+    }
+    EXPECT_EQ(row, std::size(kColdDistPins));
+  }
+  EXPECT_GT(max_sources, 6);
 }
 
 // Network-level cross-config equality with a program that exercises RNG

@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "common/random.hpp"
+#include "congest_reference.hpp"
 #include "graph/generators.hpp"
 #include "graph/properties.hpp"
 
@@ -51,6 +55,77 @@ TEST(CollectPipelineTest, PayloadsCollectedAtRoot) {
   p.OnReceive(payload, true, &out);
   ASSERT_EQ(out.size(), 1u);
   EXPECT_EQ(out[0], (std::vector<std::int64_t>{42, 7}));
+}
+
+// The slot-keyed edge queues against the deque-and-set reference
+// (tests/congest_reference.hpp): seeded random enqueues, with and without an
+// excluded edge, and pops with budgets 1-3, either from one edge or swept
+// over every edge as the flooding protocols do. Degrees sit on both sides of
+// the 64-edge word boundaries of the membership bits, over 4 and over 500
+// distinct keys. Every pop must return the same keys in the same order,
+// Empty() must hold exactly when the reference pops nothing, and
+// HasPending() must agree after every operation.
+TEST(KeyedEdgeQueuesTest, MatchesReferenceOnRandomOperations) {
+  for (const int degree : {1, 63, 64, 65, 130}) {
+    for (const int num_keys : {4, 500}) {
+      for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+        SCOPED_TRACE(testing::Message() << "degree=" << degree
+                                        << " keys=" << num_keys
+                                        << " seed=" << seed);
+        SplitMix64 rng(DeriveSeed(seed, static_cast<std::uint64_t>(
+                                            degree * 1000 + num_keys)));
+        std::vector<NodeId> keys;
+        for (int i = 0; i < num_keys; ++i) {
+          // Distinct, scattered ids: the intern table probes past collisions.
+          keys.push_back(static_cast<NodeId>(
+              (rng.NextBelow(1u << 20) << 10) | static_cast<std::uint64_t>(i)));
+        }
+        KeyedEdgeQueues queues;
+        reference::KeyedEdgeQueues ref;
+        queues.Configure(degree);
+        ref.Configure(degree);
+        std::vector<int> slots;
+        std::vector<NodeId> got;
+        std::vector<NodeId> want;
+        const auto pop = [&](int local, int budget) {
+          const bool empty = queues.Empty(local);
+          queues.PopInto(local, budget, slots);
+          ref.PopInto(local, budget, want);
+          got.clear();
+          for (const int slot : slots) got.push_back(queues.KeyOf(slot));
+          ASSERT_EQ(got, want) << "edge " << local;
+          ASSERT_EQ(empty, want.empty()) << "edge " << local;
+        };
+        const auto deg = static_cast<std::uint64_t>(degree);
+        for (int op = 0; op < 3000; ++op) {
+          const std::uint64_t kind = rng.NextBelow(10);
+          if (kind < 4) {
+            const NodeId key = keys[rng.NextBelow(keys.size())];
+            const int except =
+                rng.NextBelow(3) == 0 ? -1
+                                      : static_cast<int>(rng.NextBelow(deg));
+            const int known = queues.Find(key);
+            const int slot = queues.Intern(key);
+            ASSERT_TRUE(known == -1 || known == slot);
+            ASSERT_EQ(queues.KeyOf(slot), key);
+            queues.EnqueueAll(slot, except);
+            ref.EnqueueAll(key, except);
+          } else if (kind < 7) {
+            pop(static_cast<int>(rng.NextBelow(deg)),
+                1 + static_cast<int>(rng.NextBelow(3)));
+          } else {
+            const int budget = 1 + static_cast<int>(rng.NextBelow(3));
+            for (int e = 0; e < degree; ++e) pop(e, budget);
+          }
+          ASSERT_EQ(queues.HasPending(), ref.HasPending()) << "op " << op;
+        }
+        while (ref.HasPending()) {
+          for (int e = 0; e < degree; ++e) pop(e, 3);
+        }
+        EXPECT_FALSE(queues.HasPending());
+      }
+    }
+  }
 }
 
 // A program exercising the collect pipeline on a real network: every node
