@@ -1,21 +1,26 @@
 // Portfolio racing on a mixed sweep (DESIGN.md §3): two workload classes,
-// each pathological for a different roster member.
+// each slow for a different roster member. Per-unit single-solver p50s from
+// a Release build on 4 vCPUs (g++ 12):
 //
 //   corridor  256x256 grid, terminals clustered in one corner strip —
-//             greedy-merge's stopped Dijkstra balls cover a vanishing
-//             fraction of the graph (~5 ms) while every solver that looks
-//             at all m edges (Kruskal seed, moat events) pays 50-90 ms;
-//   manyt     48x48 grid, 96 spread terminals — mst-prune's early-stopping
-//             heap-Kruskal finishes in ~2 ms while greedy-merge pays its
-//             O(t^2) merge schedule and local-search its per-edge moves
-//             (35-70 ms).
+//             greedy-merge's stopped Dijkstra balls cover a small part of
+//             the graph (~1 ms), while every solver that reads all m edges
+//             pays for them: mst-prune's radix sort and Kruskal ~10 ms,
+//             local-search ~11 ms, gw-moat's event loop ~23 ms;
+//   manyt     48x48 grid, 20 components of 6 spread terminals — mst-prune
+//             (~0.5 ms) and local-search (~1 ms) finish at once, while
+//             greedy-merge pays its O(t^2) merge schedule (~55 ms) and
+//             gw-moat ~21 ms.
 //
 // No single member is fast on both classes, so the best single solver's
-// sweep p95 is its worst class; the racing portfolio (mode=first, width >=
-// 4) tracks the per-class winner and must beat that p95 by >= 1.3x even
-// with the racers time-slicing one core. mode=all on the same sweep checks
-// the cost side: never worse than the best member on any unit.
-// `bench/run_benchmarks.sh` records this series as BENCH_portfolio.json.
+// sweep p95 is its worst class: mst-prune's corridor units. With 30 salts
+// per class the sweep has 60 units, and three of them lie above its p95,
+// so no single unit decides the ratio. The racing portfolio (mode=first,
+// width >= 4) tracks the per-class winner and must beat that p95 by >= 1.3x.
+// mode=all on the same sweep checks the cost side: never worse than the best
+// member on any unit. `bench/run_benchmarks.sh` records this series as
+// BENCH_portfolio.json and fails when a unit is infeasible or mode=all costs
+// more than the best member; the timing ratio is recorded, not gated.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -35,11 +40,11 @@ constexpr char kMixedSweep[] = R"(
 seed 4027
 generate grid rows=256 cols=256 max_w=9 as corridor
 sample random-ic near k=2 tpc=2 span=32
-sweep salt 0 1 2 3 4 5
+sweep salt 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29
 
 generate grid rows=48 cols=48 max_w=9 as manyt
 sample random-ic spread k=20 tpc=6
-sweep salt 0 1 2 3 4 5
+sweep salt 0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29
 )";
 
 const std::vector<std::string> kRoster = {"gw-moat", "mst-prune",

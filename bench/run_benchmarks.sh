@@ -89,6 +89,24 @@ run_bench bench_serve "$OUT_DIR/BENCH_serve.json"
 # must never cost more than the best roster member (DESIGN.md §3).
 run_bench bench_portfolio "$OUT_DIR/BENCH_portfolio.json"
 
+# The portfolio's cost contract, gated: every row must report no infeasible
+# unit and cost_ratio_worst <= 1. The p95_speedup ratio stays recorded but
+# ungated, since runner noise would make a timing gate flaky.
+if ! command -v python3 >/dev/null 2>&1; then
+  echo "error: python3 is needed to check $OUT_DIR/BENCH_portfolio.json" >&2
+  exit 1
+fi
+python3 - "$OUT_DIR/BENCH_portfolio.json" <<'PYEOF' || exit 1
+import json, sys
+rows = json.load(open(sys.argv[1]))["benchmarks"]
+bad = [r["name"] for r in rows
+       if r.get("infeasible") != 0 or not r.get("cost_ratio_worst", 2) <= 1]
+if not rows or bad:
+    sys.exit("error: %s breaks the portfolio contract (infeasible == 0 and "
+             "cost_ratio_worst <= 1, DESIGN.md §3) in: %s"
+             % (sys.argv[1], ", ".join(bad) or "no rows"))
+PYEOF
+
 # The suite wall: the committed bench/SUITE_baseline.json must still match
 # a fresh run of the quality/latency matrix (dsf suite --check, DESIGN.md
 # §9). A stale baseline — solver drift, corpus edits, roster changes — fails

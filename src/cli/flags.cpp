@@ -1,13 +1,12 @@
 #include "cli/flags.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <climits>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "common/text.hpp"
 #include "solve/solver_spec.hpp"
 
 namespace dsf {
@@ -48,36 +47,28 @@ Flag Int(std::string name, std::string help, long long lo, long long hi,
                      now >= lo && now <= hi ? std::to_string(now) : "");
   return {name, "N", std::move(help),
           [name, lo, hi, out](const std::string& v) {
-            char* end = nullptr;
-            errno = 0;
-            const long long value = std::strtoll(v.c_str(), &end, 10);
-            if (end == v.c_str() || *end != '\0' || errno == ERANGE) {
-              throw InvalidValue(name, v);
-            }
-            if (value < lo || value > hi) {
+            const auto value = ParseNumber<long long>(v);
+            if (!value) throw InvalidValue(name, v);
+            if (*value < lo || *value > hi) {
               throw std::runtime_error(name + " must be in [" +
                                        std::to_string(lo) + ", " +
                                        std::to_string(hi) + "]");
             }
-            *out = static_cast<T>(value);
+            *out = static_cast<T>(*value);
           }};
 }
 
-// Parsed with strtod: the client sends this double over the wire, and the
-// one-shot CLI must solve with the same value.
+// The client sends this double over the wire, and the one-shot CLI must
+// solve with the same value; both read it here.
 Flag NonNegativeReal(std::string name, std::string help, double* out) {
   std::ostringstream now;
   now << *out;
   return {name, "X", WithDefault(std::move(help), now.str()),
           [name, out](const std::string& v) {
-            char* end = nullptr;
-            errno = 0;
-            const double value = std::strtod(v.c_str(), &end);
-            if (end == v.c_str() || *end != '\0' || errno == ERANGE) {
-              throw InvalidValue(name, v);
-            }
-            if (value < 0.0) throw std::runtime_error(name + " must be >= 0");
-            *out = value;
+            const auto value = ParseNumber<double>(v);
+            if (!value) throw InvalidValue(name, v);
+            if (*value < 0.0) throw std::runtime_error(name + " must be >= 0");
+            *out = *value;
           }};
 }
 
@@ -115,19 +106,12 @@ Flag SeedFlag(std::uint64_t* out, bool* seed_set) {
           "overrides the workload's seed, which drives expansion and the "
           "per-request seeds (>= 1)",
           [out, seed_set](const std::string& v) {
-            char* end = nullptr;
-            errno = 0;
-            const unsigned long long value =
-                std::strtoull(v.c_str(), &end, 10);
-            // strtoull would wrap "-1" to 2^64 - 1.
-            if (v[0] == '-' || end == v.c_str() || *end != '\0' ||
-                errno == ERANGE) {
-              throw InvalidValue("--seed", v);
-            }
+            const auto value = ParseNumber<std::uint64_t>(v);
+            if (!value) throw InvalidValue("--seed", v);
             // 0 is BatchEngine's "keep per-request seeds" sentinel;
             // accepting it would silently stop deriving per-request seeds.
-            if (value == 0) throw std::runtime_error("--seed must be >= 1");
-            *out = value;
+            if (*value == 0) throw std::runtime_error("--seed must be >= 1");
+            *out = *value;
             *seed_set = true;
           }};
 }

@@ -22,8 +22,8 @@ inline constexpr NodeId kNoNode = -1;
 inline constexpr EdgeId kNoEdge = -1;
 inline constexpr Label kNoLabel = -1;
 inline constexpr Weight kInfWeight = std::numeric_limits<Weight>::max() / 4;
-// Largest edge weight the text formats accept (CheckEdgeWeight in
-// workload/import.hpp). On the at most 10^7 nodes of a spec graph, a simple
+// Largest edge weight the text formats accept (spec `edge`, STP `E`,
+// DIMACS `e`/`a` lines). On the at most 10^7 nodes of a spec graph, a simple
 // path weighs at most 10^15, so distance sums stay below kInfWeight and
 // still fit the moat engine's fixed point (workload/spec.cpp asserts both).
 inline constexpr Weight kMaxEdgeWeight = 100'000'000;

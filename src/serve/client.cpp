@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -83,25 +84,18 @@ static void WriteDeltaJson(JsonWriter& json, const std::string& spec) {
   std::vector<std::pair<long long, long long>> add_terminals;
   std::vector<long long> remove_terminals;
 
-  const auto fail = [](const std::string& token) -> std::runtime_error {
+  const auto fail = [](std::string_view token) -> std::runtime_error {
     return std::runtime_error(
-        "bad --delta token '" + token +
+        "bad --delta token '" + std::string(token) +
         "' (want add=U-V, rm=U-V, addt=V:L, or rmt=V)");
   };
-  const auto parse_int = [&](std::string_view text,
-                             const std::string& token) {
-    std::size_t used = 0;
-    long long value = 0;
-    try {
-      value = std::stoll(std::string(text), &used);
-    } catch (const std::exception&) {
-      throw fail(token);
-    }
-    if (used != text.size() || value < 0) throw fail(token);
-    return value;
+  const auto parse_int = [&](std::string_view text, std::string_view token) {
+    const auto value = ParseNumber<long long>(text);
+    if (!value || *value < 0) throw fail(token);
+    return *value;
   };
   const auto parse_two = [&](std::string_view text, char sep,
-                             const std::string& token) {
+                             std::string_view token) {
     const std::size_t at = text.find(sep);
     if (at == std::string_view::npos) throw fail(token);
     return std::pair<long long, long long>{
@@ -110,16 +104,14 @@ static void WriteDeltaJson(JsonWriter& json, const std::string& spec) {
   };
 
   std::string normalized = spec;
-  for (char& c : normalized) {
-    if (c == ',') c = ' ';
-  }
-  std::istringstream in(normalized);
-  std::string token;
-  while (in >> token) {
+  std::replace(normalized.begin(), normalized.end(), ',', ' ');
+  std::string_view tokens = normalized;
+  for (std::string_view token = NextToken(tokens); !token.empty();
+       token = NextToken(tokens)) {
     const std::size_t eq = token.find('=');
-    if (eq == std::string::npos) throw fail(token);
-    const std::string kind = token.substr(0, eq);
-    const std::string_view rest = std::string_view(token).substr(eq + 1);
+    if (eq == std::string_view::npos) throw fail(token);
+    const std::string_view kind = token.substr(0, eq);
+    const std::string_view rest = token.substr(eq + 1);
     if (kind == "add") {
       add_pairs.push_back(parse_two(rest, '-', token));
     } else if (kind == "rm") {

@@ -1,32 +1,21 @@
 #include "serve/fault.hpp"
 
-#include <cerrno>
-#include <cstdlib>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
+
+#include "common/text.hpp"
 
 namespace dsf {
 
 namespace {
 
-std::uint64_t ParseCount(const std::string& key, const std::string& value) {
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long n = std::strtoull(value.c_str(), &end, 10);
-  if (value.empty() || end != value.c_str() + value.size() ||
-      errno == ERANGE || value[0] == '-') {
-    throw std::runtime_error("fault spec: bad value for '" + key + "': '" +
-                             value + "'");
+std::uint64_t ParseCount(std::string_view key, std::string_view value) {
+  const auto n = ParseNumber<std::uint64_t>(value);
+  if (!n) {
+    throw std::runtime_error("fault spec: bad value for '" + std::string(key) +
+                             "': '" + std::string(value) + "'");
   }
-  return static_cast<std::uint64_t>(n);
-}
-
-std::string Trim(const std::string& s) {
-  std::size_t begin = 0;
-  std::size_t end = s.size();
-  while (begin < end && (s[begin] == ' ' || s[begin] == '\t')) ++begin;
-  while (end > begin && (s[end - 1] == ' ' || s[end - 1] == '\t')) --end;
-  return s.substr(begin, end - begin);
+  return *n;
 }
 
 }  // namespace
@@ -38,18 +27,15 @@ void FaultInjector::Configure(const std::string& spec) {
   std::uint64_t delay_every = 0;
   std::uint64_t delay_ms = 0;
 
-  std::istringstream in(spec);
-  std::string field;
-  while (std::getline(in, field, ',')) {
-    field = Trim(field);
+  for (const std::string_view field : SplitOn(spec, ',')) {
     if (field.empty()) continue;
     const std::size_t eq = field.find('=');
-    if (eq == std::string::npos) {
+    if (eq == std::string_view::npos) {
       throw std::runtime_error("fault spec: expected key=value, got '" +
-                               field + "'");
+                               std::string(field) + "'");
     }
-    const std::string key = Trim(field.substr(0, eq));
-    const std::string value = Trim(field.substr(eq + 1));
+    const std::string_view key = Trim(field.substr(0, eq));
+    const std::string_view value = Trim(field.substr(eq + 1));
     if (key == "exit_after") {
       exit_after = ParseCount(key, value);
     } else if (key == "drop_every") {
@@ -64,7 +50,8 @@ void FaultInjector::Configure(const std::string& spec) {
         throw std::runtime_error("fault spec: delay_ms must be <= 600000");
       }
     } else {
-      throw std::runtime_error("fault spec: unknown key '" + key + "'");
+      throw std::runtime_error("fault spec: unknown key '" + std::string(key) +
+                               "'");
     }
   }
   if (delay_ms > 0 && delay_every == 0) delay_every = 1;

@@ -1,7 +1,5 @@
 #include "serve/protocol.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <optional>
 #include <span>
 #include <sstream>
@@ -11,6 +9,7 @@
 
 #include "cli/json.hpp"
 #include "common/random.hpp"
+#include "common/text.hpp"
 #include "graph/properties.hpp"
 #include "solve/incremental.hpp"
 #include "solve/solver.hpp"
@@ -43,14 +42,8 @@ std::optional<long long> GetInteger(const JsonValue& req,
                               "]");
   };
   if (!v->IsNumber()) throw fail();
-  if (v->string.find_first_of(".eE") != std::string::npos) throw fail();
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(v->string.c_str(), &end, 10);
-  if (end != v->string.c_str() + v->string.size() || errno == ERANGE ||
-      value < lo || value > hi) {
-    throw fail();
-  }
+  const auto value = ParseNumber<long long>(v->string);
+  if (!value || *value < lo || *value > hi) throw fail();
   return value;
 }
 
@@ -63,18 +56,10 @@ std::optional<std::uint64_t> GetSeed(const JsonValue& req) {
   const auto fail = [] {
     return std::runtime_error("field 'seed' must be an integer >= 1");
   };
-  if (!v->IsNumber() ||
-      v->string.find_first_of(".eE-") != std::string::npos) {
-    throw fail();
-  }
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long value = std::strtoull(v->string.c_str(), &end, 10);
-  if (end != v->string.c_str() + v->string.size() || errno == ERANGE ||
-      value == 0) {
-    throw fail();
-  }
-  return static_cast<std::uint64_t>(value);
+  if (!v->IsNumber()) throw fail();
+  const auto value = ParseNumber<std::uint64_t>(v->string);
+  if (!value || *value == 0) throw fail();
+  return value;
 }
 
 // Builds the workload text of a request: either the inline spec verbatim or
@@ -350,18 +335,13 @@ std::string HandleSolve(ServeContext& ctx, const JsonValue& req,
 // Reads one element of a delta array as an integer (node id or label);
 // array shape errors name the field.
 long long DeltaInt(const JsonValue& v, std::string_view field) {
-  if (!v.IsNumber() || v.string.find_first_of(".eE") != std::string::npos) {
+  const auto value =
+      v.IsNumber() ? ParseNumber<long long>(v.string) : std::nullopt;
+  if (!value) {
     throw std::runtime_error("'delta." + std::string(field) +
                              "' entries must be integers");
   }
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(v.string.c_str(), &end, 10);
-  if (end != v.string.c_str() + v.string.size() || errno == ERANGE) {
-    throw std::runtime_error("'delta." + std::string(field) +
-                             "' entries must be integers");
-  }
-  return value;
+  return *value;
 }
 
 // Parses the "delta" object; node-range and semantic validation happens in

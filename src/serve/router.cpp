@@ -1,12 +1,12 @@
 #include "serve/router.hpp"
 
 #include <algorithm>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "common/hash.hpp"
+#include "common/text.hpp"
 #include "serve/protocol.hpp"
 
 namespace dsf {
@@ -94,14 +94,12 @@ BackendSpec ParseBackendSpec(const std::string& text) {
     port_text = text.substr(colon + 1);
     if (spec.host.empty()) spec.host = "127.0.0.1";
   }
-  char* end = nullptr;
-  const long port = std::strtol(port_text.c_str(), &end, 10);
-  if (port_text.empty() || end != port_text.c_str() + port_text.size() ||
-      port < 1 || port > 65535) {
+  const auto port = ParseNumber<int>(port_text);
+  if (!port || *port < 1 || *port > 65535) {
     throw std::runtime_error("invalid backend '" + text +
                              "' (want HOST:PORT or PORT)");
   }
-  spec.port = static_cast<int>(port);
+  spec.port = *port;
   return spec;
 }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <stdexcept>
 
+#include "common/text.hpp"
 #include "solve/solver.hpp"
 
 namespace dsf {
@@ -13,16 +14,6 @@ namespace {
   throw std::runtime_error("solver spec: " + msg);
 }
 
-std::string_view Trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) {
-    s.remove_prefix(1);
-  }
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) {
-    s.remove_suffix(1);
-  }
-  return s;
-}
-
 // Registry position of `name`; -1 when unknown. Defines the canonical
 // roster order and the deterministic mode=all tie-break.
 int RegistryIndex(std::string_view name) {
@@ -31,17 +22,6 @@ int RegistryIndex(std::string_view name) {
     if (names[i] == name) return static_cast<int>(i);
   }
   return -1;
-}
-
-std::vector<std::string_view> SplitOn(std::string_view s, char sep) {
-  std::vector<std::string_view> out;
-  while (true) {
-    const auto pos = s.find(sep);
-    out.push_back(Trim(s.substr(0, pos)));
-    if (pos == std::string_view::npos) break;
-    s.remove_prefix(pos + 1);
-  }
-  return out;
 }
 
 }  // namespace
@@ -99,19 +79,12 @@ SolverSpec ParseSolverSpec(std::string_view text) {
         }
         spec.mode = std::string(value);
       } else if (key == "deadline_ms") {
-        int ms = 0;
-        for (const char c : value) {
-          if (c < '0' || c > '9' || ms > 100'000'000) {
-            Fail("deadline_ms must be a positive integer, got '" +
-                 std::string(value) + "'");
-          }
-          ms = ms * 10 + (c - '0');
-        }
-        if (ms <= 0) {
-          Fail("deadline_ms must be a positive integer, got '" +
+        const auto ms = ParseNumber<int>(value);
+        if (!ms || *ms < 1 || *ms > 1'000'000'000) {
+          Fail("deadline_ms must be an integer in [1, 1000000000], got '" +
                std::string(value) + "'");
         }
-        spec.deadline_ms = ms;
+        spec.deadline_ms = *ms;
       } else {
         Fail("unknown key '" + std::string(key) +
              "' (expected roster, mode, or deadline_ms)");

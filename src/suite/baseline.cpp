@@ -1,13 +1,12 @@
 #include "suite/baseline.hpp"
 
-#include <cerrno>
-#include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <stdexcept>
 
 #include "cli/json.hpp"
+#include "common/text.hpp"
 
 namespace dsf {
 
@@ -34,34 +33,24 @@ long long NeedInt(const JsonValue& obj, const char* key,
                   long long hi = std::numeric_limits<long long>::max()) {
   const JsonValue& v = Need(obj, key, origin);
   if (!v.IsNumber()) Fail(origin, std::string("'") + key + "' must be a number");
-  char* end = nullptr;
-  errno = 0;
-  const long long value = std::strtoll(v.string.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0') {
-    Fail(origin, std::string("'") + key + "' must be an integer");
-  }
-  if (errno == ERANGE || value < lo || value > hi) {
+  const auto value = ParseNumber<long long>(v.string);
+  if (!value || *value < lo || *value > hi) {
     Fail(origin, std::string("'") + key + "' must be an integer in [" +
                      std::to_string(lo) + ", " + std::to_string(hi) + "]");
   }
-  return value;
+  return *value;
 }
 
 std::uint64_t NeedU64(const JsonValue& obj, const char* key,
                       const std::string& origin) {
   const JsonValue& v = Need(obj, key, origin);
   if (!v.IsNumber()) Fail(origin, std::string("'") + key + "' must be a number");
-  // strtoull negates a leading '-' into a huge value instead of failing.
-  const auto fail = [&] {
+  const auto value = ParseNumber<std::uint64_t>(v.string);
+  if (!value) {
     Fail(origin, std::string("'") + key +
                      "' must be an integer in [0, 2^64 - 1]");
-  };
-  if (v.string.starts_with('-')) fail();
-  char* end = nullptr;
-  errno = 0;
-  const std::uint64_t value = std::strtoull(v.string.c_str(), &end, 10);
-  if (end == nullptr || *end != '\0' || errno == ERANGE) fail();
-  return value;
+  }
+  return *value;
 }
 
 double NeedDouble(const JsonValue& obj, const char* key,

@@ -3,6 +3,7 @@
 #include <bit>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -12,17 +13,6 @@
 
 namespace dsf {
 
-namespace {
-
-[[noreturn]] void Fail(const std::string& origin, int line,
-                       const std::string& what) {
-  std::ostringstream os;
-  os << origin << ":" << line << ": " << what;
-  throw std::runtime_error(os.str());
-}
-
-}  // namespace
-
 SuiteManifest ParseSuiteManifest(std::istream& in, const std::string& origin) {
   SuiteManifest manifest;
   manifest.origin = origin;
@@ -31,107 +21,52 @@ SuiteManifest ParseSuiteManifest(std::istream& in, const std::string& origin) {
   bool band_seen = false;
   bool floor_seen = false;
 
-  std::string raw;
-  int line = 0;
-  while (ReadLine(in, raw)) {
-    ++line;
-    if (const auto hash = raw.find('#'); hash != std::string::npos) {
-      raw.erase(hash);
-    }
-    std::istringstream fields(raw);
-    std::string directive;
-    if (!(fields >> directive)) continue;  // blank / comment-only line
-
-    const auto want_long = [&](const char* what) -> long long {
-      long long value = 0;
-      if (!(fields >> value)) {
-        Fail(origin, line, std::string("expected ") + what + " after '" +
-                               directive + "'");
-      }
-      return value;
-    };
-    const auto want_real = [&](const char* what) -> double {
-      double value = 0;
-      if (!(fields >> value)) {
-        Fail(origin, line, std::string("expected ") + what + " after '" +
-                               directive + "'");
-      }
-      return value;
-    };
-    const auto want_word = [&](const char* what) -> std::string {
-      std::string value;
-      if (!(fields >> value)) {
-        Fail(origin, line, std::string("expected ") + what + " after '" +
-                               directive + "'");
-      }
-      return value;
-    };
-    const auto no_trailing = [&] {
-      std::string trailing;
-      if (fields >> trailing) {
-        Fail(origin, line, "trailing tokens after '" + directive + "'");
-      }
-    };
+  LineReader r(in, origin, '#');
+  while (r.Next()) {
+    const std::string_view directive = r.Head();
     const auto add_source = [&](SuiteSource::Kind kind) {
       SuiteSource src;
       src.kind = kind;
-      src.path = want_word("file path");
-      src.line = line;
-      no_trailing();
+      src.path = r.Word("file path");
+      src.line = r.Line();
+      r.End();
       for (const SuiteSource& other : manifest.sources) {
         if (other.path == src.path) {
-          Fail(origin, line, "duplicate source path '" + src.path + "'");
+          r.Fail("duplicate source path '" + src.path + "'");
         }
       }
       manifest.sources.push_back(std::move(src));
     };
 
     if (directive == "seed") {
-      if (seed_seen) Fail(origin, line, "duplicate 'seed' directive");
-      const long long value = want_long("seed value");
-      if (value < 1) Fail(origin, line, "seed must be >= 1");
-      no_trailing();
-      manifest.seed = static_cast<std::uint64_t>(value);
+      if (seed_seen) r.Fail("duplicate 'seed' directive");
+      manifest.seed = static_cast<std::uint64_t>(
+          r.Int("seed", 1, std::numeric_limits<long long>::max()));
+      r.End();
       seed_seen = true;
     } else if (directive == "solver") {
-      const std::string spec = want_word("solver spec");
-      no_trailing();
+      const std::string spec = r.Word("solver spec");
+      r.End();
       std::string why;
-      if (!IsValidSolverSpec(spec, &why)) Fail(origin, line, why);
+      if (!IsValidSolverSpec(spec, &why)) r.Fail(why);
       for (const std::string& other : manifest.solvers) {
-        if (other == spec) {
-          Fail(origin, line, "duplicate solver '" + spec + "'");
-        }
+        if (other == spec) r.Fail("duplicate solver '" + spec + "'");
       }
       manifest.solvers.push_back(spec);
     } else if (directive == "timing-reps") {
-      if (reps_seen) Fail(origin, line, "duplicate 'timing-reps' directive");
-      const long long value = want_long("repetition count");
-      if (value < 1 || value > 100) {
-        Fail(origin, line, "timing-reps must be in [1, 100]");
-      }
-      no_trailing();
-      manifest.timing_reps = static_cast<int>(value);
+      if (reps_seen) r.Fail("duplicate 'timing-reps' directive");
+      manifest.timing_reps = static_cast<int>(r.Int("timing-reps", 1, 100));
+      r.End();
       reps_seen = true;
     } else if (directive == "latency-band") {
-      if (band_seen) Fail(origin, line, "duplicate 'latency-band' directive");
-      const double value = want_real("band factor");
-      if (!(value >= 0.0) || value > 1000.0) {
-        Fail(origin, line, "latency-band must be in [0, 1000]");
-      }
-      no_trailing();
-      manifest.latency_band = value;
+      if (band_seen) r.Fail("duplicate 'latency-band' directive");
+      manifest.latency_band = r.Real("latency-band", 0.0, 1000.0);
+      r.End();
       band_seen = true;
     } else if (directive == "latency-floor-ms") {
-      if (floor_seen) {
-        Fail(origin, line, "duplicate 'latency-floor-ms' directive");
-      }
-      const double value = want_real("floor in ms");
-      if (!(value >= 0.0) || value > 1e9) {
-        Fail(origin, line, "latency-floor-ms must be in [0, 1e9]");
-      }
-      no_trailing();
-      manifest.latency_floor_ms = value;
+      if (floor_seen) r.Fail("duplicate 'latency-floor-ms' directive");
+      manifest.latency_floor_ms = r.Real("latency-floor-ms", 0.0, 1e9);
+      r.End();
       floor_seen = true;
     } else if (directive == "stp") {
       add_source(SuiteSource::Kind::kStp);
@@ -140,15 +75,15 @@ SuiteManifest ParseSuiteManifest(std::istream& in, const std::string& origin) {
     } else if (directive == "spec") {
       add_source(SuiteSource::Kind::kSpec);
     } else {
-      Fail(origin, line, "unknown directive '" + directive + "'");
+      r.Fail("unknown directive '" + std::string(directive) + "'");
     }
   }
 
   if (manifest.solvers.empty()) {
-    Fail(origin, line, "a suite manifest needs at least one 'solver' line");
+    r.Fail("a suite manifest needs at least one 'solver' line");
   }
   if (manifest.sources.empty()) {
-    Fail(origin, line, "a suite manifest needs at least one source line");
+    r.Fail("a suite manifest needs at least one source line");
   }
   return manifest;
 }

@@ -1,8 +1,8 @@
 #include "workload/churn.hpp"
 
 #include <fstream>
+#include <limits>
 #include <ostream>
-#include <sstream>
 #include <stdexcept>
 #include <string>
 
@@ -17,13 +17,6 @@ struct ActivePair {
   NodeId v = kNoNode;
   Label label = kNoLabel;
 };
-
-[[noreturn]] void FailTrace(std::string_view origin, int line,
-                            const std::string& what) {
-  std::ostringstream os;
-  os << origin << ":" << line << ": " << what;
-  throw std::runtime_error(os.str());
-}
 
 }  // namespace
 
@@ -138,86 +131,47 @@ void WriteChurnTrace(std::ostream& out, const ChurnTrace& trace) {
 }
 
 ChurnTrace ParseChurnTrace(std::istream& in, std::string_view origin) {
-  std::string raw;
-  int line = 0;
-
-  std::istringstream fields;
-  // A typo in a numeric column must fail, not load a different trace.
-  const auto no_trailing = [&](const std::string& head) {
-    std::string trailing;
-    if (fields >> trailing) {
-      FailTrace(origin, line, "trailing tokens after '" + head + "'");
-    }
-  };
+  LineReader r(in, std::string(origin), '#');
   // Record lines arrive in a fixed sequence, so the reader demands each one
   // by its keyword instead of dispatching on whatever appears.
-  const auto next_record = [&](const std::string& keyword) {
-    while (ReadLine(in, raw)) {
-      ++line;
-      fields = std::istringstream(raw);
-      std::string head;
-      if (!(fields >> head)) continue;  // blank line
-      if (head == "#") continue;       // comment
-      if (head != keyword) {
-        FailTrace(origin, line,
-                  "expected '" + keyword + "', got '" + head + "'");
-      }
-      return;
+  const auto expect = [&](const std::string& keyword) {
+    if (!r.Next()) {
+      r.Fail("unexpected end of file (expected '" + keyword + "')");
     }
-    FailTrace(origin, line, "unexpected end of file (expected '" + keyword +
-                                "')");
-  };
-  const auto want_int = [&](const char* what) -> long long {
-    long long value = 0;
-    if (!(fields >> value)) {
-      FailTrace(origin, line, std::string("expected ") + what);
+    if (r.Head() != keyword) {
+      r.Fail("expected '" + keyword + "', got '" + std::string(r.Head()) +
+             "'");
     }
-    return value;
   };
 
-  next_record("dsf-churn");
-  if (want_int("format version") != 1) {
-    FailTrace(origin, line, "unsupported dsf-churn version");
-  }
-  no_trailing("dsf-churn");
+  expect("dsf-churn");
+  if (r.Int("format version") != 1) r.Fail("unsupported dsf-churn version");
+  r.End();
 
-  next_record("nodes");
-  const long long n = want_int("node count");
-  no_trailing("nodes");
-  if (n < 1 || n > 100'000'000) {
-    FailTrace(origin, line, "node count out of range");
-  }
-  const auto node_in_range = [&](long long v) -> NodeId {
-    if (v < 0 || v >= n) {
-      FailTrace(origin, line, "node " + std::to_string(v) +
-                                  " out of range [0, " + std::to_string(n) +
-                                  ")");
-    }
-    return static_cast<NodeId>(v);
+  expect("nodes");
+  const long long n = r.Int("node count", 1, 100'000'000);
+  r.End();
+  const auto want_node = [&] {
+    return static_cast<NodeId>(r.Int("node", 0, n - 1));
   };
-  const auto want_label = [&]() -> Label {
-    const long long l = want_int("label");
-    if (l < 1) FailTrace(origin, line, "labels must be >= 1");
-    return static_cast<Label>(l);
+  const auto want_label = [&] {
+    return static_cast<Label>(
+        r.Int("label", 1, std::numeric_limits<Label>::max()));
   };
 
-  next_record("base");
-  const long long base_count = want_int("base terminal count");
-  no_trailing("base");
-  if (base_count < 0 || base_count > n) {
-    FailTrace(origin, line, "base terminal count out of range");
-  }
+  expect("base");
+  const long long base_count = r.Int("base terminal count", 0, n);
+  r.End();
   std::vector<std::pair<NodeId, Label>> assign;
   assign.reserve(static_cast<std::size_t>(base_count));
   NodeId prev = -1;
   for (long long i = 0; i < base_count; ++i) {
-    next_record("t");
-    const NodeId v = node_in_range(want_int("terminal node"));
+    expect("t");
+    const NodeId v = want_node();
     const Label label = want_label();
-    no_trailing("t");
+    r.End();
     if (v <= prev) {
-      FailTrace(origin, line,
-                "base terminals must be listed in increasing node order");
+      r.Fail("base terminals must be listed in increasing node order");
     }
     prev = v;
     assign.push_back({v, label});
@@ -226,82 +180,47 @@ ChurnTrace ParseChurnTrace(std::istream& in, std::string_view origin) {
   ChurnTrace trace;
   trace.base = MakeIcInstance(static_cast<int>(n), assign);
 
-  next_record("steps");
-  const long long num_steps = want_int("step count");
-  no_trailing("steps");
-  if (num_steps < 0 || num_steps > 1'000'000) {
-    FailTrace(origin, line, "step count out of range");
-  }
+  expect("steps");
+  const long long num_steps = r.Int("step count", 0, 1'000'000);
+  r.End();
   trace.steps.reserve(static_cast<std::size_t>(num_steps));
 
-  // Step bodies have no count headers; rm/add lines run until the next
-  // `step`/`eof` keyword, so the reader keeps one record of lookahead: when
-  // a body loop reads past its end, it leaves the record in `head`/`fields`
-  // and sets `pending` for the next take.
-  std::string head;
-  bool pending = false;
-  const auto take_head = [&]() -> bool {
-    if (pending) {
-      pending = false;
-      return true;
-    }
-    while (ReadLine(in, raw)) {
-      ++line;
-      fields = std::istringstream(raw);
-      if (!(fields >> head)) continue;  // blank line
-      if (head == "#") continue;
-      return true;
-    }
-    return false;
-  };
-  const auto expect_head = [&](const std::string& keyword) {
-    if (!take_head()) {
-      FailTrace(origin, line,
-                "unexpected end of file (expected '" + keyword + "')");
-    }
-    if (head != keyword) {
-      FailTrace(origin, line,
-                "expected '" + keyword + "', got '" + head + "'");
-    }
-  };
-
+  // Step bodies have no count headers: rm/add lines run until the next
+  // `step`/`eof` keyword, which the body loop hands back to the reader.
   for (long long s = 0; s < num_steps; ++s) {
-    expect_head("step");
-    if (want_int("step index") != s) {
-      FailTrace(origin, line, "step indices must run 0.." +
-                                  std::to_string(num_steps - 1) + " in order");
+    expect("step");
+    if (r.Int("step index") != s) {
+      r.Fail("step indices must run 0.." + std::to_string(num_steps - 1) +
+             " in order");
     }
-    no_trailing("step");
+    r.End();
     ChurnStep step;
     bool in_adds = false;
     while (true) {
-      if (!take_head()) {
-        FailTrace(origin, line, "unexpected end of file inside step " +
-                                    std::to_string(s));
+      if (!r.Next()) {
+        r.Fail("unexpected end of file inside step " + std::to_string(s));
       }
-      if (head == "rm") {
-        if (in_adds) {
-          FailTrace(origin, line, "'rm' lines must precede 'add' lines");
-        }
-        step.remove_terminals.push_back(node_in_range(want_int("node")));
-        no_trailing("rm");
-      } else if (head == "add") {
+      if (r.Head() == "rm") {
+        if (in_adds) r.Fail("'rm' lines must precede 'add' lines");
+        step.remove_terminals.push_back(want_node());
+        r.End();
+      } else if (r.Head() == "add") {
         in_adds = true;
-        const NodeId v = node_in_range(want_int("node"));
+        const NodeId v = want_node();
         const Label label = want_label();
-        no_trailing("add");
+        r.End();
         step.add_terminals.push_back({v, label});
       } else {
-        pending = true;  // next step's header or the trailer
+        r.Unread();  // next step's header or the trailer
         break;
       }
     }
     trace.steps.push_back(std::move(step));
   }
 
-  expect_head("eof");
-  no_trailing("eof");
-  if (take_head()) FailTrace(origin, line, "content after eof trailer");
+  expect("eof");
+  r.End();
+  if (r.Next()) r.Fail("content after eof trailer");
   return trace;
 }
 

@@ -4,8 +4,8 @@
 #include <cctype>
 #include <fstream>
 #include <map>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -17,14 +17,8 @@ namespace {
 
 constexpr long long kMaxImportNodes = 1'000'000;
 
-[[noreturn]] void Fail(const std::string& origin, int line,
-                       const std::string& what) {
-  std::ostringstream os;
-  os << origin << ":" << line << ": " << what;
-  throw std::runtime_error(os.str());
-}
-
-std::string Lower(std::string s) {
+std::string Lower(std::string_view text) {
+  std::string s(text);
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return std::tolower(c); });
   return s;
@@ -63,16 +57,9 @@ class EdgeAccumulator {
 
 }  // namespace
 
-void CheckEdgeWeight(long long w, const std::string& origin, int line) {
-  if (w < 1 || w > kMaxEdgeWeight) {
-    Fail(origin, line,
-         "edge weight must be in [1, " + std::to_string(kMaxEdgeWeight) + "]");
-  }
-}
-
 ImportedWorkload ParseSteinLib(std::istream& in, const std::string& origin) {
-  std::string raw;
-  int line = 0;
+  // STP has no comment byte: remarks live in SECTION Comment.
+  LineReader r(in, origin, kNoComment);
   bool saw_magic = false;
   bool saw_eof = false;
   long long n = -1;
@@ -83,52 +70,33 @@ ImportedWorkload ParseSteinLib(std::istream& in, const std::string& origin) {
   // "" = top level, otherwise the lowercased active SECTION name.
   std::string section;
 
-  const auto node_in_range = [&](long long v, int at) -> NodeId {
-    if (n < 0) Fail(origin, at, "'Nodes' must precede edge/terminal lines");
-    if (v < 1 || v > n) {
-      Fail(origin, at, "node " + std::to_string(v) + " out of range [1, " +
-                           std::to_string(n) + "]");
-    }
-    return static_cast<NodeId>(v - 1);  // to 0-based
+  const auto want_node = [&](const char* what) -> NodeId {
+    if (n < 0) r.Fail("'Nodes' must precede edge/terminal lines");
+    return static_cast<NodeId>(r.Int(what, 1, n) - 1);  // to 0-based
   };
 
-  std::istringstream fields;
-  // A typo in a numeric column ("7x", an extra token) must fail, not import
-  // a silently different graph.
-  const auto no_trailing = [&](const std::string& head) {
-    std::string trailing;
-    if (fields >> trailing) {
-      Fail(origin, line, "trailing tokens after '" + head + "'");
-    }
-  };
-
-  while (ReadLine(in, raw)) {
-    ++line;
-    fields = std::istringstream(raw);
-    std::string head;
-    if (!(fields >> head)) continue;  // blank line
+  while (r.Next()) {
+    const std::string keyword = Lower(r.Head());
     if (!saw_magic) {
       // "33D32945 STP File, STP Format Version 1.0"
-      if (Lower(head) != "33d32945") {
-        Fail(origin, line, "not a SteinLib file (missing 33D32945 magic)");
+      if (keyword != "33d32945") {
+        r.Fail("not a SteinLib file (missing 33D32945 magic)");
       }
       saw_magic = true;
       continue;
     }
-    if (saw_eof) Fail(origin, line, "content after EOF keyword");
-    const std::string keyword = Lower(head);
+    if (saw_eof) r.Fail("content after EOF keyword");
 
     if (section.empty()) {
       if (keyword == "section") {
-        std::string name;
-        if (!(fields >> name)) Fail(origin, line, "SECTION needs a name");
-        section = Lower(name);
-        no_trailing(head);
+        section = Lower(r.Word("a SECTION name"));
+        r.End();
       } else if (keyword == "eof") {
         saw_eof = true;
-        no_trailing(head);
+        r.End();
       } else {
-        Fail(origin, line, "expected SECTION or EOF, got '" + head + "'");
+        r.Fail("expected SECTION or EOF, got '" + std::string(r.Head()) +
+               "'");
       }
       continue;
     }
@@ -139,72 +107,44 @@ ImportedWorkload ParseSteinLib(std::istream& in, const std::string& origin) {
     }
 
     if (section == "graph") {
-      const auto want = [&](const char* what) -> long long {
-        long long value = 0;
-        if (!(fields >> value)) {
-          Fail(origin, line,
-               std::string("expected ") + what + " after '" + head + "'");
-        }
-        return value;
-      };
       if (keyword == "nodes") {
-        const long long value = want("node count");
-        if (value < 1 || value > kMaxImportNodes) {
-          Fail(origin, line, "Nodes must be in [1, " +
-                                 std::to_string(kMaxImportNodes) + "]");
-        }
-        n = value;
-        no_trailing(head);
+        n = r.Int("node count", 1, kMaxImportNodes);
       } else if (keyword == "edges" || keyword == "arcs") {
-        declared_edges = want("edge count");
-        no_trailing(head);
+        declared_edges = r.Int("edge count");
       } else if (keyword == "e" || keyword == "a") {
-        const NodeId u = node_in_range(want("endpoint"), line);
-        const NodeId v = node_in_range(want("endpoint"), line);
-        const long long w = want("weight");
-        no_trailing(head);
-        CheckEdgeWeight(w, origin, line);
-        edges.Add(u, v, static_cast<Weight>(w));
+        const NodeId u = want_node("endpoint");
+        const NodeId v = want_node("endpoint");
+        edges.Add(u, v, r.Int("edge weight", 1, kMaxEdgeWeight));
         edges.CountRaw();
       } else {
-        Fail(origin, line, "unknown Graph keyword '" + head + "'");
+        r.Fail("unknown Graph keyword '" + std::string(r.Head()) + "'");
       }
+      r.End();
     } else if (section == "terminals") {
       if (keyword == "terminals") {
-        long long value = 0;
-        if (!(fields >> value)) Fail(origin, line, "expected terminal count");
-        declared_terminals = value;
-        no_trailing(head);
+        declared_terminals = r.Int("terminal count");
       } else if (keyword == "t") {
-        long long value = 0;
-        if (!(fields >> value)) Fail(origin, line, "expected terminal node");
-        terminals.push_back(node_in_range(value, line));
-        no_trailing(head);
+        terminals.push_back(want_node("terminal node"));
       } else if (keyword == "root" || keyword == "rootp") {
         // Rooted variants: the root is just another terminal for DSF.
-        long long value = 0;
-        if (!(fields >> value)) Fail(origin, line, "expected root node");
-        terminals.push_back(node_in_range(value, line));
-        no_trailing(head);
+        terminals.push_back(want_node("root node"));
       } else {
-        Fail(origin, line, "unknown Terminals keyword '" + head + "'");
+        r.Fail("unknown Terminals keyword '" + std::string(r.Head()) + "'");
       }
+      r.End();
     }
     // Other sections (Comment, Coordinates, MaximumDegrees, ...) are
     // skipped line by line until their END.
   }
 
-  if (!saw_magic) Fail(origin, line, "empty file (missing 33D32945 magic)");
-  if (!section.empty()) {
-    Fail(origin, line, "unterminated SECTION " + section);
-  }
-  if (!saw_eof) Fail(origin, line, "missing EOF keyword");
-  if (n < 0) Fail(origin, line, "no SECTION Graph / Nodes line");
+  if (!saw_magic) r.Fail("empty file (missing 33D32945 magic)");
+  if (!section.empty()) r.Fail("unterminated SECTION " + section);
+  if (!saw_eof) r.Fail("missing EOF keyword");
+  if (n < 0) r.Fail("no SECTION Graph / Nodes line");
   if (declared_edges >= 0 &&
       declared_edges != static_cast<long long>(edges.RawCount())) {
-    Fail(origin, line,
-         "Edges declares " + std::to_string(declared_edges) + " but " +
-             std::to_string(edges.RawCount()) + " edge lines were given");
+    r.Fail("Edges declares " + std::to_string(declared_edges) + " but " +
+           std::to_string(edges.RawCount()) + " edge lines were given");
   }
 
   ImportedWorkload out;
@@ -214,10 +154,9 @@ ImportedWorkload ParseSteinLib(std::istream& in, const std::string& origin) {
                   terminals.end());
   if (declared_terminals >= 0 &&
       declared_terminals != static_cast<long long>(terminals.size())) {
-    Fail(origin, line,
-         "Terminals declares " + std::to_string(declared_terminals) +
-             " but " + std::to_string(terminals.size()) +
-             " distinct terminals were given");
+    r.Fail("Terminals declares " + std::to_string(declared_terminals) +
+           " but " + std::to_string(terminals.size()) +
+           " distinct terminals were given");
   }
   if (!terminals.empty()) {
     std::vector<std::pair<NodeId, Label>> assign;
@@ -236,79 +175,41 @@ ImportedWorkload LoadSteinLib(const std::string& path) {
 }
 
 ImportedWorkload ParseDimacs(std::istream& in, const std::string& origin) {
-  std::string raw;
-  int line = 0;
+  // DIMACS has no comment byte: remarks are whole `c` lines.
+  LineReader r(in, origin, kNoComment);
   long long n = -1;
   long long declared_edges = -1;
   EdgeAccumulator edges;
 
-  std::istringstream fields;
-  // A typo in a numeric column ("7x", an extra token) must fail, not import
-  // a silently different graph.
-  const auto no_trailing = [&](const std::string& head) {
-    std::string trailing;
-    if (fields >> trailing) {
-      Fail(origin, line, "trailing tokens after '" + head + "'");
-    }
-  };
-
-  while (ReadLine(in, raw)) {
-    ++line;
-    fields = std::istringstream(raw);
-    std::string head;
-    if (!(fields >> head)) continue;
-    const std::string keyword = Lower(head);
+  while (r.Next()) {
+    const std::string keyword = Lower(r.Head());
     if (keyword == "c" || keyword == "n") continue;  // comment / node label
 
     if (keyword == "p") {
-      if (n >= 0) Fail(origin, line, "duplicate 'p' header");
-      std::string kind;
-      long long nodes = 0;
-      long long m = 0;
-      if (!(fields >> kind >> nodes >> m)) {
-        Fail(origin, line, "expected 'p <kind> <nodes> <edges>'");
-      }
-      if (nodes < 1 || nodes > kMaxImportNodes) {
-        Fail(origin, line, "node count must be in [1, " +
-                               std::to_string(kMaxImportNodes) + "]");
-      }
-      n = nodes;
-      declared_edges = m;
-      no_trailing(head);
+      if (n >= 0) r.Fail("duplicate 'p' header");
+      (void)r.Word("problem kind");
+      n = r.Int("node count", 1, kMaxImportNodes);
+      declared_edges = r.Int("edge count");
     } else if (keyword == "e" || keyword == "a") {
-      if (n < 0) Fail(origin, line, "'p' header must come first");
-      long long u = 0;
-      long long v = 0;
-      if (!(fields >> u >> v)) {
-        Fail(origin, line, "expected two endpoints after '" + head + "'");
-      }
-      long long w = 1;  // unweighted DIMACS variants omit the weight
-      if (fields >> w) {
-        no_trailing(head);
-      } else if (!fields.eof()) {
-        Fail(origin, line, "invalid weight after '" + head + "'");
-      } else {
-        w = 1;  // omitted: failed extraction zeroed it
-      }
-      if (u < 1 || u > n || v < 1 || v > n) {
-        Fail(origin, line, "endpoint out of range [1, " + std::to_string(n) +
-                               "]");
-      }
-      CheckEdgeWeight(w, origin, line);
-      edges.Add(static_cast<NodeId>(u - 1), static_cast<NodeId>(v - 1),
-                static_cast<Weight>(w));
+      if (n < 0) r.Fail("'p' header must come first");
+      const long long u = r.Int("endpoint", 1, n);
+      const long long v = r.Int("endpoint", 1, n);
+      // Unweighted DIMACS variants omit the weight.
+      const Weight w = r.AtEnd() ? 1 : r.Int("edge weight", 1, kMaxEdgeWeight);
+      edges.Add(static_cast<NodeId>(u - 1), static_cast<NodeId>(v - 1), w);
       edges.CountRaw();
     } else {
-      Fail(origin, line, "unknown DIMACS line '" + head + "'");
+      r.Fail("unknown DIMACS line '" + std::string(r.Head()) + "'");
     }
+    r.End();
   }
 
-  if (n < 0) Fail(origin, line, "no 'p' header");
+  if (n < 0) r.Fail("no 'p' header");
   if (declared_edges >= 0 &&
       declared_edges != static_cast<long long>(edges.RawCount())) {
-    Fail(origin, line,
-         "header declares " + std::to_string(declared_edges) + " edges but " +
-             std::to_string(edges.RawCount()) + " edge lines were given");
+    r.Fail("header declares " + std::to_string(declared_edges) +
+           " edges but " + std::to_string(edges.RawCount()) +
+           " edge lines were given");
   }
 
   ImportedWorkload out;

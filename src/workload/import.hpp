@@ -30,11 +30,8 @@ struct ImportedWorkload {
   IcInstance terminals;  // all terminals share label 1; set iff has_terminals
 };
 
-// The edge weights every text format accepts (spec `edge`, STP `E`, DIMACS
-// `a`/`e`): [1, kMaxEdgeWeight]. Any other `w` throws the parse error below.
-void CheckEdgeWeight(long long w, const std::string& origin, int line);
-
-// Parse errors throw std::runtime_error naming `origin` and the line.
+// Parse errors throw std::runtime_error naming `origin` and the line. Edge
+// weights must lie in [1, kMaxEdgeWeight], as in a spec's `edge` lines.
 ImportedWorkload ParseSteinLib(std::istream& in, const std::string& origin);
 ImportedWorkload LoadSteinLib(const std::string& path);
 

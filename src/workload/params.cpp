@@ -1,12 +1,10 @@
 #include "workload/params.hpp"
 
-#include <cerrno>
-#include <cmath>
-#include <cstdlib>
 #include <sstream>
 #include <stdexcept>
 
 #include "common/check.hpp"
+#include "common/text.hpp"
 
 namespace dsf {
 
@@ -93,24 +91,21 @@ ParamMap ValidateParams(
 
     double value = spec.def;
     if (text != nullptr) {
-      char* end = nullptr;
-      errno = 0;
       if (entry.is_int) {
-        const long long parsed = std::strtoll(text->c_str(), &end, 10);
-        if (end == text->c_str() || *end != '\0' || errno == ERANGE) {
+        const auto parsed = ParseNumber<long long>(*text);
+        if (!parsed) {
           Fail("parameter '" + entry.name + "' of '" + std::string(owner) +
                "' needs an integer, got '" + *text + "'");
         }
-        value = static_cast<double>(parsed);
-        entry.i = parsed;
+        value = static_cast<double>(*parsed);
+        entry.i = *parsed;
       } else {
-        const double parsed = std::strtod(text->c_str(), &end);
-        if (end == text->c_str() || *end != '\0' || errno == ERANGE ||
-            !std::isfinite(parsed)) {
+        const auto parsed = ParseNumber<double>(*text);
+        if (!parsed) {
           Fail("parameter '" + entry.name + "' of '" + std::string(owner) +
                "' needs a number, got '" + *text + "'");
         }
-        value = parsed;
+        value = *parsed;
       }
       if (value < spec.min_value || value > spec.max_value) {
         Fail("parameter '" + entry.name + "' of '" + std::string(owner) +

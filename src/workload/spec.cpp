@@ -36,13 +36,6 @@ constexpr std::size_t kMaxSweepValues = 64;
 constexpr std::size_t kMaxExpandedCases = 512;
 constexpr std::size_t kMaxExpandedInstances = 1024;
 
-[[noreturn]] void Fail(const std::string& origin, int line,
-                       const std::string& what) {
-  std::ostringstream os;
-  os << origin << ":" << line << ": " << what;
-  throw std::runtime_error(os.str());
-}
-
 // The pending (mutable) explicit instance: terminals/pairs accumulate here
 // and are materialized when the instance closes.
 struct PendingInstance {
@@ -75,8 +68,8 @@ struct ParserState {
 void CheckInstanceName(ParserState& st, const std::string& name, int line) {
   for (const InstanceSpec& inst : st.Current()->instances) {
     if (inst.name == name) {
-      Fail(st.origin, line,
-           "duplicate instance name '" + name + "' in this case block");
+      FailAt(st.origin, line,
+             "duplicate instance name '" + name + "' in this case block");
     }
   }
 }
@@ -86,12 +79,12 @@ void FlushInstance(ParserState& st, int line) {
   InstanceSpec& inst = st.pending.spec;
   if (inst.kind == InstanceSpec::Kind::kExplicitCr) {
     if (inst.pairs.empty()) {
-      Fail(st.origin, line, "cr instance '" + inst.name + "' has no pairs");
+      FailAt(st.origin, line, "cr instance '" + inst.name + "' has no pairs");
     }
   } else {
     if (inst.terminals.empty()) {
-      Fail(st.origin, line,
-           "ic instance '" + inst.name + "' has no terminals");
+      FailAt(st.origin, line,
+             "ic instance '" + inst.name + "' has no terminals");
     }
   }
   st.Current()->instances.push_back(std::move(inst));
@@ -106,8 +99,8 @@ void CloseCase(ParserState& st, int line) {
   if (cs == nullptr) return;
   FlushInstance(st, line);
   if (cs->instances.empty() && cs->kind != CaseSpec::Kind::kImportStp) {
-    Fail(st.origin, line,
-         "case '" + cs->name + "' has no instances");
+    FailAt(st.origin, line,
+           "case '" + cs->name + "' has no instances");
   }
   st.edge_seen.clear();
   st.sweep_target = SweepTarget::kNone;
@@ -139,130 +132,84 @@ WorkloadSpec ParseWorkloadSpec(std::istream& in, const std::string& origin) {
   st.origin = origin;
   st.spec.origin = origin;
 
-  std::string raw;
-  int line = 0;
-  while (ReadLine(in, raw)) {
-    ++line;
-    if (const auto hash = raw.find('#'); hash != std::string::npos) {
-      raw.erase(hash);
-    }
-    std::istringstream fields(raw);
-    std::string directive;
-    if (!(fields >> directive)) continue;  // blank / comment-only line
+  LineReader r(in, origin, '#');
+  while (r.Next()) {
+    const int line = r.Line();
+    const std::string directive(r.Head());
 
-    const auto want_long = [&](const char* what) -> long long {
-      long long value = 0;
-      if (!(fields >> value)) {
-        Fail(origin, line, std::string("expected ") + what + " after '" +
-                               directive + "'");
-      }
-      return value;
-    };
-    const auto want_word = [&](const char* what) -> std::string {
-      std::string value;
-      if (!(fields >> value)) {
-        Fail(origin, line, std::string("expected ") + what + " after '" +
-                               directive + "'");
-      }
-      return value;
-    };
     // Node range: fully checked here for explicit graphs; generated and
     // imported graphs only learn n at expansion time, which re-checks.
     const auto want_node = [&](const char* what) -> NodeId {
-      const long long value = want_long(what);
-      const CaseSpec* cs = st.Current();
-      if (cs == nullptr) Fail(origin, line, "a graph source must come first");
-      if (value < 0 ||
-          (cs->kind == CaseSpec::Kind::kExplicit && value >= cs->n)) {
-        Fail(origin, line, std::string(what) + " " + std::to_string(value) +
-                               " out of range [0, " +
-                               std::to_string(cs->n) + ")");
-      }
-      if (value > std::numeric_limits<NodeId>::max()) {
-        Fail(origin, line, std::string(what) + " " + std::to_string(value) +
-                               " out of node-id range");
-      }
-      return static_cast<NodeId>(value);
+      const CaseSpec& cs = *st.Current();
+      return static_cast<NodeId>(r.Int(
+          what, 0,
+          cs.kind == CaseSpec::Kind::kExplicit
+              ? cs.n - 1
+              : std::numeric_limits<NodeId>::max()));
     };
-    const auto no_trailing = [&] {
-      std::string trailing;
-      if (fields >> trailing) {
-        Fail(origin, line, "trailing tokens after '" + directive + "'");
-      }
+    // Optional `as <name>` tail of graph/import/generate lines.
+    const auto alias = [&](std::string_view token, std::string& name) {
+      if (token != "as") r.Fail("trailing tokens after '" + directive + "'");
+      name = r.Word("name");
+      r.End();
     };
     // Shared tail of generate/import/sample: `k=v`... plus optional
     // `as <name>` (case blocks only).
-    const auto parse_params = [&](RawParams& params, std::string* alias) {
-      std::string token;
-      while (fields >> token) {
-        if (alias != nullptr && token == "as") {
-          *alias = want_word("name");
-          no_trailing();
+    const auto parse_params = [&](RawParams& params, std::string* name) {
+      while (const auto token = r.Token()) {
+        if (name != nullptr && *token == "as") {
+          alias(*token, *name);
           return;
         }
         try {
-          params.fixed.push_back(SplitKeyValue(token));
+          params.fixed.push_back(SplitKeyValue(std::string(*token)));
         } catch (const std::runtime_error& e) {
-          Fail(origin, line, e.what());
+          r.Fail(e.what());
         }
       }
     };
 
     if (directive == "seed") {
-      if (st.seed_seen) Fail(origin, line, "duplicate 'seed' directive");
+      if (st.seed_seen) r.Fail("duplicate 'seed' directive");
       if (st.Current() != nullptr) {
-        Fail(origin, line, "'seed' must precede the first graph source");
+        r.Fail("'seed' must precede the first graph source");
       }
-      const long long value = want_long("seed value");
       // 0 is the batch engine's "keep per-request seeds" sentinel
       // (solve/batch.hpp); letting it through would silently disable the
       // per-request seed derivation the CLI wires this value into.
-      if (value < 1) Fail(origin, line, "seed must be >= 1");
-      no_trailing();
-      st.spec.seed = static_cast<std::uint64_t>(value);
+      st.spec.seed = static_cast<std::uint64_t>(
+          r.Int("seed", 1, std::numeric_limits<long long>::max()));
+      r.End();
       st.seed_seen = true;
     } else if (directive == "as") {
       // Workload-level solver selection. Header position (like `seed`)
       // keeps the directive unambiguous: inside a case block `as` is the
       // aliasing token of generate/import lines.
       if (st.Current() != nullptr) {
-        Fail(origin, line, "'as' must precede the first graph source");
+        r.Fail("'as' must precede the first graph source");
       }
-      if (!st.spec.solvers.empty()) {
-        Fail(origin, line, "duplicate 'as' directive");
-      }
-      std::string token;
-      while (fields >> token) {
+      if (!st.spec.solvers.empty()) r.Fail("duplicate 'as' directive");
+      while (const auto token = r.Token()) {
         std::string why;
-        if (!IsValidSolverSpec(token, &why)) Fail(origin, line, why);
-        st.spec.solvers.push_back(std::move(token));
+        if (!IsValidSolverSpec(*token, &why)) r.Fail(why);
+        st.spec.solvers.emplace_back(*token);
       }
       if (st.spec.solvers.empty()) {
-        Fail(origin, line, "expected at least one solver spec after 'as'");
+        r.Fail("expected at least one solver spec after 'as'");
       }
     } else if (directive == "graph") {
       CloseCase(st, line);
-      const long long value = want_long("node count");
-      // Range-check before narrowing: 2^32+3 must not truncate to n=3.
-      if (value <= 0 || value > kMaxExplicitNodes) {
-        Fail(origin, line, "graph needs n in [1, " +
-                               std::to_string(kMaxExplicitNodes) + "]");
-      }
       CaseSpec cs;
       cs.kind = CaseSpec::Kind::kExplicit;
       cs.name = "graph";
       cs.line = line;
-      cs.n = value;
-      std::string token;
-      if (fields >> token) {
-        if (token != "as") Fail(origin, line, "trailing tokens after 'graph'");
-        cs.name = want_word("name");
-        no_trailing();
-      }
+      // Range-checked before narrowing: 2^32+3 must not truncate to n=3.
+      cs.n = r.Int("node count", 1, kMaxExplicitNodes);
+      if (const auto token = r.Token()) alias(*token, cs.name);
       st.spec.cases.push_back(std::move(cs));
     } else if (directive == "generate") {
       CloseCase(st, line);
-      const std::string family = want_word("generator family");
+      const std::string family = r.Word("generator family");
       CaseSpec cs;
       cs.kind = CaseSpec::Kind::kGenerate;
       cs.name = family;
@@ -274,62 +221,54 @@ WorkloadSpec ParseWorkloadSpec(std::istream& in, const std::string& origin) {
       try {
         f = &GeneratorRegistry::Get(family);
       } catch (const std::runtime_error& e) {
-        Fail(origin, line, e.what());
+        r.Fail(e.what());
       }
       parse_params(cs.params, &cs.name);
       try {
         (void)ValidateGeneratorParams(*f, cs.params.fixed);
       } catch (const std::runtime_error& e) {
-        Fail(origin, line, e.what());
+        r.Fail(e.what());
       }
       st.spec.cases.push_back(std::move(cs));
       st.sweep_target = SweepTarget::kGenerator;
     } else if (directive == "import") {
       CloseCase(st, line);
-      const std::string format = want_word("import format (stp | dimacs)");
+      const std::string format = r.Word("import format (stp | dimacs)");
       if (format != "stp" && format != "dimacs") {
-        Fail(origin, line, "unknown import format '" + format +
-                               "' (expected stp or dimacs)");
+        r.Fail("unknown import format '" + format +
+               "' (expected stp or dimacs)");
       }
       CaseSpec cs;
       cs.kind = format == "stp" ? CaseSpec::Kind::kImportStp
                                 : CaseSpec::Kind::kImportDimacs;
-      cs.path = want_word("file path");
+      cs.path = r.Word("file path");
       cs.name = FileStem(cs.path);
       cs.line = line;
-      std::string token;
-      if (fields >> token) {
-        if (token != "as") Fail(origin, line, "trailing tokens after 'import'");
-        cs.name = want_word("name");
-        no_trailing();
-      }
+      if (const auto token = r.Token()) alias(*token, cs.name);
       st.spec.cases.push_back(std::move(cs));
     } else if (directive == "edge") {
       CaseSpec* cs = st.Current();
       if (cs == nullptr || cs->kind != CaseSpec::Kind::kExplicit) {
-        Fail(origin, line, "'edge' outside a 'graph' block");
+        r.Fail("'edge' outside a 'graph' block");
       }
       const NodeId u = want_node("endpoint");
       const NodeId v = want_node("endpoint");
-      const long long w = want_long("weight");
-      no_trailing();
-      if (u == v) Fail(origin, line, "self-loop");
-      CheckEdgeWeight(w, origin, line);
+      const Weight w = r.Int("edge weight", 1, kMaxEdgeWeight);
+      r.End();
+      if (u == v) r.Fail("self-loop");
       // Parallel edges would silently shadow each other in every solver
       // (only the lighter one can matter); reject both exact duplicates and
       // reversed restatements.
       const auto key = std::minmax(u, v);
       if (!st.edge_seen.insert({key.first, key.second}).second) {
-        Fail(origin, line, "duplicate edge " + std::to_string(u) + " " +
-                               std::to_string(v));
+        r.Fail("duplicate edge " + std::to_string(u) + " " +
+               std::to_string(v));
       }
-      cs->edges.push_back({u, v, static_cast<Weight>(w)});
+      cs->edges.push_back({u, v, w});
     } else if (directive == "ic" || directive == "cr") {
-      if (st.Current() == nullptr) {
-        Fail(origin, line, "a graph source must come first");
-      }
-      const std::string name = want_word("instance name");
-      no_trailing();
+      if (st.Current() == nullptr) r.Fail("a graph source must come first");
+      const std::string name = r.Word("instance name");
+      r.End();
       FlushInstance(st, line);
       CheckInstanceName(st, name, line);
       st.pending.active = true;
@@ -342,138 +281,115 @@ WorkloadSpec ParseWorkloadSpec(std::istream& in, const std::string& origin) {
     } else if (directive == "terminal") {
       if (!st.pending.active ||
           st.pending.spec.kind != InstanceSpec::Kind::kExplicitIc) {
-        Fail(origin, line, "'terminal' outside an ic instance");
+        r.Fail("'terminal' outside an ic instance");
       }
       const NodeId v = want_node("node");
-      const long long label = want_long("label");
-      no_trailing();
-      if (label < 1 || label > std::numeric_limits<Label>::max()) {
-        Fail(origin, line, "labels must be in [1, " +
-                               std::to_string(
-                                   std::numeric_limits<Label>::max()) +
-                               "]");
-      }
+      const auto label = static_cast<Label>(
+          r.Int("label", 1, std::numeric_limits<Label>::max()));
+      r.End();
       // A node holds exactly one label (Definition 2.2); letting a second
       // directive win silently would drop the first membership.
       for (const auto& [seen, _] : st.pending.spec.terminals) {
         if (seen == v) {
-          Fail(origin, line,
-               "node " + std::to_string(v) + " is already a terminal of '" +
-                   st.pending.spec.name + "'");
+          r.Fail("node " + std::to_string(v) + " is already a terminal of '" +
+                 st.pending.spec.name + "'");
         }
       }
-      st.pending.spec.terminals.push_back({v, static_cast<Label>(label)});
+      st.pending.spec.terminals.push_back({v, label});
     } else if (directive == "pair") {
       if (!st.pending.active ||
           st.pending.spec.kind != InstanceSpec::Kind::kExplicitCr) {
-        Fail(origin, line, "'pair' outside a cr instance");
+        r.Fail("'pair' outside a cr instance");
       }
       const NodeId u = want_node("node");
       const NodeId v = want_node("node");
-      no_trailing();
-      if (u == v) Fail(origin, line, "a node cannot request itself");
+      r.End();
+      if (u == v) r.Fail("a node cannot request itself");
       for (const auto& [a, b] : st.pending.spec.pairs) {
         if ((a == u && b == v) || (a == v && b == u)) {
-          Fail(origin, line,
-               "duplicate pair in '" + st.pending.spec.name + "'");
+          r.Fail("duplicate pair in '" + st.pending.spec.name + "'");
         }
       }
       st.pending.spec.pairs.push_back({u, v});
     } else if (directive == "sample") {
-      if (st.Current() == nullptr) {
-        Fail(origin, line, "a graph source must come first");
-      }
+      if (st.Current() == nullptr) r.Fail("a graph source must come first");
       FlushInstance(st, line);
       InstanceSpec inst;
       inst.kind = InstanceSpec::Kind::kSample;
-      inst.sampler = want_word("sampler name");
-      inst.name = want_word("instance name");
+      inst.sampler = r.Word("sampler name");
+      inst.name = r.Word("instance name");
       inst.line = line;
       CheckInstanceName(st, inst.name, line);
       const InstanceSampler* s = nullptr;
       try {
         s = &SamplerRegistry::Get(inst.sampler);
       } catch (const std::runtime_error& e) {
-        Fail(origin, line, e.what());
+        r.Fail(e.what());
       }
       parse_params(inst.params, nullptr);
       try {
         (void)ValidateSamplerParams(*s, inst.params.fixed);
       } catch (const std::runtime_error& e) {
-        Fail(origin, line, e.what());
+        r.Fail(e.what());
       }
       st.Current()->instances.push_back(std::move(inst));
       st.sweep_target = SweepTarget::kSampler;
     } else if (directive == "churn") {
-      if (st.Current() == nullptr) {
-        Fail(origin, line, "a graph source must come first");
-      }
+      if (st.Current() == nullptr) r.Fail("a graph source must come first");
       FlushInstance(st, line);
       InstanceSpec inst;
       inst.kind = InstanceSpec::Kind::kChurn;
-      inst.name = want_word("instance name");
-      inst.path = want_word("trace path");
+      inst.name = r.Word("instance name");
+      inst.path = r.Word("trace path");
       inst.line = line;
       CheckInstanceName(st, inst.name, line);
-      std::string token;
-      if (fields >> token) {
+      if (const auto token = r.Token()) {
         // The only knob is the replay depth; k=v form keeps room for more.
-        if (token.rfind("steps=", 0) != 0) {
-          Fail(origin, line,
-               "expected steps=<N> after the trace path, got '" + token + "'");
+        if (!token->starts_with("steps=")) {
+          r.Fail("expected steps=<N> after the trace path, got '" +
+                 std::string(*token) + "'");
         }
-        const std::string num = token.substr(6);
-        std::size_t pos = 0;
-        long long value = -1;
-        try {
-          value = std::stoll(num, &pos);
-        } catch (const std::exception&) {
-          pos = std::string::npos;
+        const auto steps = ParseNumber<int>(token->substr(6));
+        if (!steps || *steps < 0 || *steps > 1'000'000) {
+          r.Fail("steps= needs an integer in [0, 1000000]");
         }
-        if (pos != num.size() || value < 0 || value > 1'000'000) {
-          Fail(origin, line, "steps= needs an integer in [0, 1000000]");
-        }
-        inst.churn_steps = static_cast<int>(value);
-        no_trailing();
+        inst.churn_steps = *steps;
+        r.End();
       }
       st.Current()->instances.push_back(std::move(inst));
       st.sweep_target = SweepTarget::kNone;
     } else if (directive == "sweep") {
       if (st.Current() == nullptr || st.sweep_target == SweepTarget::kNone) {
-        Fail(origin, line,
-             "'sweep' must directly follow the generate or sample directive "
-             "it modifies");
+        r.Fail(
+            "'sweep' must directly follow the generate or sample directive "
+            "it modifies");
       }
       SweepAxis axis;
-      axis.param = want_word("parameter name");
+      axis.param = r.Word("parameter name");
       axis.line = line;
-      std::string value;
-      while (fields >> value) axis.values.push_back(value);
-      if (axis.values.empty()) {
-        Fail(origin, line, "'sweep' needs at least one value");
-      }
+      while (const auto value = r.Token()) axis.values.emplace_back(*value);
+      if (axis.values.empty()) r.Fail("'sweep' needs at least one value");
       if (axis.values.size() > kMaxSweepValues) {
-        Fail(origin, line, "at most " + std::to_string(kMaxSweepValues) +
-                               " values per sweep axis");
+        r.Fail("at most " + std::to_string(kMaxSweepValues) +
+               " values per sweep axis");
       }
       std::string owner;
       const auto schema = SweepSchema(st, owner);
       RawParams& params = *SweepParams(st);
       for (const auto& [key, _] : params.fixed) {
         if (key == axis.param) {
-          Fail(origin, line, "parameter '" + axis.param +
-                                 "' is both fixed and swept");
+          r.Fail("parameter '" + axis.param + "' is both fixed and swept");
         }
       }
       for (const SweepAxis& other : params.sweeps) {
         if (other.param == axis.param) {
-          Fail(origin, line, "duplicate sweep axis '" + axis.param + "'");
+          r.Fail("duplicate sweep axis '" + axis.param + "'");
         }
       }
       std::set<std::string> distinct;
       for (const std::string& v : axis.values) {
         if (!distinct.insert(v).second) {
-          Fail(origin, line, "duplicate sweep value '" + v + "'");
+          r.Fail("duplicate sweep value '" + v + "'");
         }
         const std::vector<std::pair<std::string, std::string>> one{
             {axis.param, v}};
@@ -481,17 +397,17 @@ WorkloadSpec ParseWorkloadSpec(std::istream& in, const std::string& origin) {
           // Validates key existence, kind, and range per value.
           (void)ValidateParams(owner, schema, one);
         } catch (const std::runtime_error& e) {
-          Fail(origin, line, e.what());
+          r.Fail(e.what());
         }
       }
       params.sweeps.push_back(std::move(axis));
     } else {
-      Fail(origin, line, "unknown directive '" + directive + "'");
+      r.Fail("unknown directive '" + directive + "'");
     }
   }
 
-  if (st.spec.cases.empty()) Fail(origin, line, "no graph source");
-  CloseCase(st, line);
+  if (st.spec.cases.empty()) r.Fail("no graph source");
+  CloseCase(st, r.Line());
   return st.spec;
 }
 
@@ -593,9 +509,9 @@ Workload ExpandWorkload(const WorkloadSpec& spec) {
 
     ForEachCombination(cs.params, [&](std::span<const std::size_t> idx) {
       if (out.cases.size() >= kMaxExpandedCases) {
-        Fail(spec.origin, cs.line,
-             "workload expands to more than " +
-                 std::to_string(kMaxExpandedCases) + " cases");
+        FailAt(spec.origin, cs.line,
+               "workload expands to more than " +
+                   std::to_string(kMaxExpandedCases) + " cases");
       }
       WorkloadCase wc;
       wc.name = cs.name + SweepSuffix(cs.params, idx);
@@ -612,7 +528,7 @@ Workload ExpandWorkload(const WorkloadSpec& spec) {
                 family, CombineParams(cs.params, idx));
             wc.graph = BuildGenerator(family, pm, DeriveSeed(case_seed, 0));
           } catch (const std::runtime_error& e) {
-            Fail(spec.origin, cs.line, e.what());
+            FailAt(spec.origin, cs.line, e.what());
           }
           break;
         }
@@ -633,9 +549,9 @@ Workload ExpandWorkload(const WorkloadSpec& spec) {
       }
 
       if (!case_names.insert(wc.name).second) {
-        Fail(spec.origin, cs.line,
-             "duplicate case name '" + wc.name +
-                 "'; disambiguate with 'as <name>'");
+        FailAt(spec.origin, cs.line,
+               "duplicate case name '" + wc.name +
+                   "'; disambiguate with 'as <name>'");
       }
 
       const int n = wc.graph.NumNodes();
@@ -648,10 +564,10 @@ Workload ExpandWorkload(const WorkloadSpec& spec) {
             ForEachCombination(
                 inst.params, [&](std::span<const std::size_t> sidx) {
                   if (wc.instances.size() >= kMaxExpandedInstances) {
-                    Fail(spec.origin, inst.line,
-                         "case expands to more than " +
-                             std::to_string(kMaxExpandedInstances) +
-                             " instances");
+                    FailAt(spec.origin, inst.line,
+                           "case expands to more than " +
+                               std::to_string(kMaxExpandedInstances) +
+                               " instances");
                   }
                   const ParamMap pm = ValidateSamplerParams(
                       sampler, CombineParams(inst.params, sidx));
@@ -665,7 +581,7 @@ Workload ExpandWorkload(const WorkloadSpec& spec) {
             if (std::string_view(e.what()).find(spec.origin + ":") == 0) {
               throw;
             }
-            Fail(spec.origin, inst.line, e.what());
+            FailAt(spec.origin, inst.line, e.what());
           }
           continue;
         }
@@ -700,7 +616,7 @@ Workload ExpandWorkload(const WorkloadSpec& spec) {
             if (std::string_view(e.what()).find(spec.origin + ":") == 0) {
               throw;
             }
-            Fail(spec.origin, inst.line, e.what());
+            FailAt(spec.origin, inst.line, e.what());
           }
           continue;
         }
@@ -711,9 +627,9 @@ Workload ExpandWorkload(const WorkloadSpec& spec) {
         if (inst.kind == InstanceSpec::Kind::kExplicitCr) {
           for (const auto& [u, v] : inst.pairs) {
             if (u >= n || v >= n) {
-              Fail(spec.origin, inst.line,
-                   "pair of instance '" + inst.name +
-                       "' references a node >= n = " + std::to_string(n));
+              FailAt(spec.origin, inst.line,
+                     "pair of instance '" + inst.name +
+                         "' references a node >= n = " + std::to_string(n));
             }
           }
           built.use_cr = true;
@@ -721,9 +637,9 @@ Workload ExpandWorkload(const WorkloadSpec& spec) {
         } else {
           for (const auto& [v, label] : inst.terminals) {
             if (v >= n) {
-              Fail(spec.origin, inst.line,
-                   "terminal of instance '" + inst.name +
-                       "' references a node >= n = " + std::to_string(n));
+              FailAt(spec.origin, inst.line,
+                     "terminal of instance '" + inst.name +
+                         "' references a node >= n = " + std::to_string(n));
             }
           }
           built.ic = MakeIcInstance(n, inst.terminals);
@@ -732,9 +648,9 @@ Workload ExpandWorkload(const WorkloadSpec& spec) {
       }
 
       if (wc.instances.empty()) {
-        Fail(spec.origin, cs.line,
-             "case '" + wc.name + "' has no instances (the imported file "
-             "carries no terminals; add 'sample' or explicit instances)");
+        FailAt(spec.origin, cs.line,
+               "case '" + wc.name + "' has no instances (the imported file "
+               "carries no terminals; add 'sample' or explicit instances)");
       }
       out.cases.push_back(std::move(wc));
     });

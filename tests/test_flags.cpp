@@ -137,10 +137,13 @@ TEST(FlagTableTest, BadValuesExitTwoNamingTheFlag) {
       EXPECT_EQ(FirstLine(missing.err),
                 mode.name + ": missing value for " + f.name);
       if (f.metavar != "N" && f.metavar != "X") continue;
-      const Outcome word = Parse(mode, {f.name, "x2"});
-      EXPECT_EQ(word.status, 2) << f.name;
-      EXPECT_EQ(FirstLine(word.err),
-                mode.name + ": invalid value for " + f.name + ": 'x2'");
+      // A number is the whole value: no leading '+', no padding.
+      for (const std::string word : {"x2", " 2", "+5"}) {
+        const Outcome bad = Parse(mode, {f.name, word});
+        EXPECT_EQ(bad.status, 2) << f.name;
+        EXPECT_EQ(FirstLine(bad.err), mode.name + ": invalid value for " +
+                                          f.name + ": '" + word + "'");
+      }
       if (f.name == "--inject-cost") continue;  // any long long is valid
       const Outcome low = Parse(mode, {f.name, "-99999999999"});
       EXPECT_EQ(low.status, 2) << f.name;

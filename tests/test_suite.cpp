@@ -118,6 +118,10 @@ TEST(SuiteManifestTest, ErrorsCarryOriginAndLine) {
   EXPECT_NE(ErrorOf("solver gw-moat\ntiming-reps 0\nstp a.stp\n")
                 .find("<string>:2:"),
             std::string::npos);
+  // A signed count.
+  EXPECT_NE(ErrorOf("solver gw-moat\ntiming-reps +3\nstp a.stp\n")
+                .find("<string>:2:"),
+            std::string::npos);
   // Empty roster / empty source list.
   EXPECT_NE(ErrorOf("stp a.stp\n").find("solver"), std::string::npos);
   EXPECT_NE(ErrorOf("solver gw-moat\n").find("source"), std::string::npos);

@@ -383,6 +383,8 @@ TEST(WorkloadSpecTest, RejectsMalformedSpecs) {
       "ic a\nterminal 1 1\n",                    // duplicate instance name
       "graph 3\nedge 0 1 1\nic a\nterminal 0 1\n"
       "cr a\npair 0 1\n",                        // ... across input forms
+      "graph 3as foo\nedge 0 1 1\nic a\nterminal 0 1\n",  // glued token
+      "graph 3\nedge 0 1 +1\nic a\nterminal 0 1\n",    // leading '+'
   };
   for (const char* text : bad) {
     EXPECT_THROW((void)ExpandString(text), std::runtime_error) << text;
@@ -612,6 +614,8 @@ TEST(ImportTest, SteinLibRejectsMalformed) {
       "E 1 2 7x\nEND\nEOF\n",                                // weight typo
       "33D32945 STP\nSECTION Graph\nNodes 2\nEdges 1\n"
       "E 1 2 1 9\nEND\nEOF\n",                               // extra token
+      "33D32945 STP\nSECTION Graph\nNodes 2\nEdges 1\n"
+      "E 1 2 +1\nEND\nEOF\n",                                // leading '+'
   };
   for (const char* text : bad) {
     std::istringstream in(text);
@@ -676,6 +680,7 @@ TEST(ImportTest, DimacsRejectsMalformed) {
       "p edge 2 1\ne 1 2 x\n",           // non-numeric weight
       "p edge 2 1\ne 1 2 1 9\n",         // extra token
       "p edge 2 1 9\ne 1 2 1\n",         // extra header token
+      "p edge 2 1\ne 1 2 +1\n",          // leading '+'
   };
   for (const char* text : bad) {
     std::istringstream in(text);
@@ -797,6 +802,10 @@ TEST(ChurnTraceTest, ParserRejectsMalformedWithOriginAndLine) {
   // Missing trailer.
   EXPECT_NE(error_of("dsf-churn 1\nnodes 10\nbase 0\nsteps 0\n")
                 .find("eof"),
+            std::string::npos);
+  // A signed count (line 2).
+  EXPECT_NE(error_of("dsf-churn 1\nnodes +10\nbase 0\nsteps 0\neof\n")
+                .find("<trace>:2:"),
             std::string::npos);
 }
 
